@@ -154,10 +154,9 @@ BM_GadgetDecomposePoly(benchmark::State &state)
 BENCHMARK(BM_GadgetDecomposePoly)->Arg(1024)->Arg(16384);
 
 /**
- * Fused vs per-poly external product: the A/B pair for the batched
- * FFT sweep. Both run with a persistent scratch, so the delta is the
- * transform scheduling alone (results are bit-identical; the tests
- * assert it).
+ * One set-I-shaped external product (N=1024, k=1, l=2, Bg=2^10) with a
+ * persistent scratch: decompose, (k+1)*l forward FFTs streamed into
+ * the multiply-accumulate, k+1 in-place inverse FFTs.
  */
 void
 BM_ExternalProductFft(benchmark::State &state)
@@ -175,29 +174,8 @@ BM_ExternalProductFft(benchmark::State &state)
         ggsw.externalProduct(out, ct, scratch);
         benchmark::DoNotOptimize(&out);
     }
-    state.SetLabel("batch-fused FFT sweep");
 }
 BENCHMARK(BM_ExternalProductFft);
-
-void
-BM_ExternalProductFftPerPoly(benchmark::State &state)
-{
-    Rng rng(6);
-    const uint32_t n = 1024, k = 1;
-    GlweKey key(k, n, rng);
-    GadgetParams g{10, 2};
-    GgswFft ggsw(ggswEncrypt(key, 1, g, 0.0, rng));
-    TorusPolynomial mu(n);
-    GlweCiphertext ct = glweEncrypt(key, mu, 0.0, rng);
-    GlweCiphertext out;
-    PbsScratch scratch;
-    for (auto _ : state) {
-        ggsw.externalProductPerPoly(out, ct, scratch);
-        benchmark::DoNotOptimize(&out);
-    }
-    state.SetLabel("per-poly reference");
-}
-BENCHMARK(BM_ExternalProductFftPerPoly);
 
 void
 BM_ProgrammableBootstrap(benchmark::State &state)
@@ -245,6 +223,33 @@ BM_GateNand(benchmark::State &state)
 BENCHMARK(BM_GateNand)->Unit(benchmark::kMillisecond)->MinTime(2.0);
 
 /**
+ * One full-width PBS+KS sweep through ServerContext::bootstrapBatch at
+ * set I: the batch is cut into one contiguous chunk per pool worker,
+ * and each chunk is blind-rotated key-stationary. Wall time per sweep;
+ * items are ciphertexts, so items_per_second is sweep throughput.
+ */
+void
+BM_BootstrapBatch(benchmark::State &state)
+{
+    auto &keys = keysI();
+    const size_t width = size_t(state.range(0));
+    std::vector<LweCiphertext> cts;
+    for (size_t i = 0; i < width; ++i)
+        cts.push_back(keys.client.encryptInt(int64_t(i % 4), 4));
+    TorusPolynomial tv = makeIntTestVector(keys.server.params().N, 4,
+                                           [](int64_t x) { return x; });
+    for (auto _ : state) {
+        auto out = keys.server.bootstrapBatch(cts, tv);
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.SetItemsProcessed(state.iterations() * int64_t(width));
+    state.counters["threads"] = keys.server.batchThreads();
+    state.SetLabel("PBS+KS sweep, set I");
+}
+BENCHMARK(BM_BootstrapBatch)->Arg(16)->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+/**
  * Forward FFT through an explicit kernel table: the A/B pair CI
  * records so the dispatch speedup is measured, not asserted (expected
  * well above 2x on AVX2 hosts -- the baseline capture shows 5-9x --
@@ -261,27 +266,6 @@ BM_FftForwardKernel(benchmark::State &state, const PolyKernels *kernels,
         benchmark::DoNotOptimize(data.data());
     }
     state.SetItemsProcessed(state.iterations() * int64_t(m));
-}
-
-/**
- * Batched forward FFT through an explicit kernel table. Reported
- * per-transform (items = batch members), so the row is directly
- * comparable against BM_FftForward at the same m: the gap is the
- * twiddle-amortization win of the stage-major batch sweep.
- */
-void
-BM_FftForwardBatchKernel(benchmark::State &state,
-                         const PolyKernels *kernels, size_t m,
-                         size_t batch)
-{
-    const FftPlan &plan = FftPlan::get(m);
-    std::vector<Cplx> data(m * batch, Cplx(0.5, -0.25));
-    for (auto _ : state) {
-        plan.forwardBatch(data.data(), batch, *kernels);
-        benchmark::DoNotOptimize(data.data());
-    }
-    state.SetItemsProcessed(state.iterations() * int64_t(m) *
-                            int64_t(batch));
 }
 
 /**
@@ -508,19 +492,6 @@ registerKernelBenchmarks()
                 [kernels = e.kernels, m](benchmark::State &st) {
                     BM_FftForwardKernel(st, kernels, m);
                 });
-            // Batch 4 = the (k+1)*l digit count of sets I/II; batch 8
-            // covers the larger gadget shapes.
-            for (size_t batch : {size_t{4}, size_t{8}}) {
-                std::string bname =
-                    std::string("BM_FftForwardBatch/") + e.name + "/" +
-                    std::to_string(m) + "/" + std::to_string(batch);
-                benchmark::RegisterBenchmark(
-                    bname.c_str(),
-                    [kernels = e.kernels, m,
-                     batch](benchmark::State &st) {
-                        BM_FftForwardBatchKernel(st, kernels, m, batch);
-                    });
-            }
         }
 }
 

@@ -17,9 +17,9 @@ namespace strix {
 FftPlan::FftPlan(size_t m) : m_(m)
 {
     panicIfNot(m >= 2 && (m & (m - 1)) == 0, "FFT size must be 2^k >= 2");
-    // The permutation table stores 32-bit indices (half the footprint
-    // scanned on every transform); enforce the narrowing contract
-    // rather than silently wrapping for absurd plan sizes.
+    // The permutation table stores 32-bit indices; enforce the
+    // narrowing contract rather than silently wrapping for absurd
+    // plan sizes.
     panicIfNot(m <= (uint64_t{1} << 32), "FFT size exceeds 2^32");
 
     bit_reverse_.resize(m);
@@ -33,25 +33,27 @@ FftPlan::FftPlan(size_t m) : m_(m)
                 r |= size_t{1} << (log_m - 1 - b);
         bit_reverse_[i] = static_cast<uint32_t>(r);
     }
+    radix2_tail_ = (log_m % 2) == 1;
 
-    // Stage-major layout: each stage's twiddles are contiguous so the
-    // vector butterflies stream them with plain loads. The angle
-    // 2*pi*j/len equals the old strided table's 2*pi*(j*m/len)/m
-    // exactly (power-of-two scaling of a double is exact), so the
-    // scalar path stays bit-identical to the original implementation.
-    stage_twiddles_.reserve(m - 1);
-    for (size_t len = 2; len <= m; len <<= 1)
-        for (size_t j = 0; j < len / 2; ++j) {
-            double ang = 2.0 * M_PI * static_cast<double>(j) /
-                         static_cast<double>(len);
-            stage_twiddles_.emplace_back(std::cos(ang), std::sin(ang));
-        }
+    // Pass-major layout in forward (largest block first) order: pass
+    // L owns w^j, w^2j, w^3j for j < L/4 as three contiguous streams,
+    // so the vector butterflies read twiddles with plain loads. Each
+    // power is evaluated from its own angle rather than by repeated
+    // multiplication, so no rounding error accumulates along a pass.
+    twiddles_.reserve(m);
+    for (size_t len = m; len >= 4; len >>= 2)
+        for (size_t power = 1; power <= 3; ++power)
+            for (size_t j = 0; j < len / 4; ++j) {
+                double ang = 2.0 * M_PI * static_cast<double>(power * j) /
+                             static_cast<double>(len);
+                twiddles_.emplace_back(std::cos(ang), std::sin(ang));
+            }
 }
 
 FftTables
 FftPlan::tables() const
 {
-    return FftTables{m_, bit_reverse_.data(), stage_twiddles_.data()};
+    return FftTables{m_, twiddles_.data(), twiddles_.size(), radix2_tail_};
 }
 
 void
@@ -67,22 +69,9 @@ FftPlan::inverse(Cplx *data) const
 }
 
 void
-FftPlan::forwardBatch(Cplx *data, size_t batch) const
-{
-    activeKernels().fftForwardBatch(tables(), data, batch);
-}
-
-void
 FftPlan::forward(Cplx *data, const PolyKernels &kernels) const
 {
     kernels.fftForward(tables(), data);
-}
-
-void
-FftPlan::forwardBatch(Cplx *data, size_t batch,
-                      const PolyKernels &kernels) const
-{
-    kernels.fftForwardBatch(tables(), data, batch);
 }
 
 void

@@ -1,19 +1,25 @@
 /**
  * @file
- * Iterative radix-2 complex FFT with a precomputed plan.
+ * Permutation-free radix-4 complex FFT with a precomputed plan.
  *
- * This mirrors the structure of the hardware pipelined-FFT in the
- * paper (Fig. 5): log2(M) butterfly stages with twiddle ROMs; the
- * software version applies the same dataflow sequentially. Plans are
- * cached per size.
+ * This mirrors the structure of the hardware pipelined FFT in the
+ * paper (Fig. 5): butterfly stages with twiddle ROMs, run here as
+ * log2(M)/2 radix-4 passes (plus one radix-2 pass when log2(M) is
+ * odd). Like a streaming hardware FFT, it never reorders its data:
+ * the forward transform is decimation in frequency and leaves the
+ * spectrum in bit-reversed order, and the inverse is decimation in
+ * time and consumes that order. The frequency domain is used only
+ * pointwise, so the order never has to be undone on the PBS path.
+ * Plans are cached per size.
  *
  * The butterfly loops themselves live behind the runtime-dispatched
  * kernel table in poly/simd.h: a plan holds only the precomputed
- * tables (bit-reversal permutation, stage-major twiddles), and
- * forward()/inverse() run whichever backend activeKernels() selected
- * at startup (AVX2+FMA where available, scalar otherwise or under
- * STRIX_FORCE_SCALAR=1). The kernel-explicit overloads let tests and
- * benchmarks run both backends side by side in one process.
+ * tables (pass-major twiddles, plus the bit-reversal permutation for
+ * code that needs natural spectral order), and forward()/inverse()
+ * run whichever backend activeKernels() selected at startup (AVX2+FMA
+ * where available, scalar otherwise or under STRIX_FORCE_SCALAR=1).
+ * The kernel-explicit overloads let tests and benchmarks run both
+ * backends side by side in one process.
  */
 
 #ifndef STRIX_POLY_COMPLEX_FFT_H
@@ -40,8 +46,8 @@ struct PolyKernels;
 inline constexpr size_t kMaxFftLog2 = 32;
 
 /**
- * FFT plan for a fixed power-of-two size M: bit-reversal permutation
- * and per-stage twiddle factors.
+ * FFT plan for a fixed power-of-two size M: per-pass twiddle factors
+ * and the bit-reversal permutation describing the output order.
  */
 class FftPlan
 {
@@ -53,38 +59,35 @@ class FftPlan
 
     /**
      * In-place forward transform with positive exponent convention:
-     * X_k = sum_j x_j * exp(+2*pi*i*j*k / M). Runs the dispatched
-     * (activeKernels) backend.
+     * X_k = sum_j x_j * exp(+2*pi*i*j*k / M). Input in natural order;
+     * output in bit-reversed order: X_k lands at index
+     * bitReverse()[k]. Runs the dispatched (activeKernels) backend.
      */
     void forward(Cplx *data) const;
 
     /**
      * In-place inverse transform (negative exponent), scaled by 1/M:
-     * x_j = (1/M) sum_k X_k * exp(-2*pi*i*j*k / M).
+     * x_j = (1/M) sum_k X_k * exp(-2*pi*i*j*k / M). Input in
+     * forward()'s bit-reversed order; output in natural order, so
+     * inverse(forward(x)) == x with no permutation anywhere.
      */
     void inverse(Cplx *data) const;
 
-    /**
-     * Batched in-place forward transform of @p batch contiguous
-     * size-M members (member b at data[b*M, (b+1)*M)). Bit-identical
-     * to calling forward() on each member, but the butterfly stages
-     * sweep the whole batch stage-major, amortizing twiddle loads --
-     * the software form of Strix's streaming FFT batch schedule.
-     */
-    void forwardBatch(Cplx *data, size_t batch) const;
-
     /** forward() through an explicit kernel table (A/B testing). */
     void forward(Cplx *data, const PolyKernels &kernels) const;
-
-    /** forwardBatch() through an explicit kernel table (A/B testing). */
-    void forwardBatch(Cplx *data, size_t batch,
-                      const PolyKernels &kernels) const;
 
     /** inverse() through an explicit kernel table (A/B testing). */
     void inverse(Cplx *data, const PolyKernels &kernels) const;
 
     /** Borrowed view of the precomputed tables for kernel calls. */
     FftTables tables() const;
+
+    /**
+     * The bit-reversal permutation of log2(M) bits (an involution):
+     * forward() leaves X_k at index bitReverse()[k]. Only code that
+     * needs natural spectral order (the wire format, tests) reads it.
+     */
+    const std::vector<uint32_t> &bitReverse() const { return bit_reverse_; }
 
     /**
      * Obtain a cached plan for size @p m. Thread-safe: the first call
@@ -104,12 +107,9 @@ class FftPlan
   private:
     size_t m_;
     std::vector<uint32_t> bit_reverse_;
-    /**
-     * Stage-major twiddles (m-1 entries): for each stage
-     * len = 2, 4, ..., m, the len/2 factors exp(+2*pi*i*j/len)
-     * contiguously. See FftTables::stage_twiddles.
-     */
-    std::vector<Cplx> stage_twiddles_;
+    /** Pass-major radix-4 twiddles; see FftTables::twiddles. */
+    std::vector<Cplx> twiddles_;
+    bool radix2_tail_ = false; //!< log2(M) odd; see FftTables
 };
 
 } // namespace strix

@@ -33,11 +33,18 @@ NegacyclicFft::forwardImpl(FreqPolynomial &out, const int32_t *coeffs,
                            size_t size, const PolyKernels &kernels) const
 {
     panicIfNot(size == n_, "forward: polynomial size mismatch");
+    out.resize(n_ / 2);
+    forward(out.data(), coeffs, kernels);
+}
+
+void
+NegacyclicFft::forward(Cplx *out, const int32_t *coeffs,
+                       const PolyKernels &kernels) const
+{
     const size_t m = n_ / 2;
-    out.resize(m);
     // Fold: u_j = a_j + i * a_{j+N/2}, then twist by w^j.
-    kernels.twist(out.data(), coeffs, coeffs + m, twist_.data(), m);
-    plan_.forward(out.data(), kernels);
+    kernels.twist(out, coeffs, coeffs + m, twist_.data(), m);
+    plan_.forward(out, kernels);
 }
 
 void
@@ -83,8 +90,8 @@ NegacyclicFft::forwardBatch(Cplx *out, const int32_t *coeffs, size_t batch,
                             const PolyKernels &kernels) const
 {
     const size_t m = n_ / 2;
-    kernels.twistBatch(out, coeffs, twist_.data(), m, batch);
-    plan_.forwardBatch(out, batch, kernels);
+    for (size_t b = 0; b < batch; ++b)
+        forward(out + b * m, coeffs + b * n_, kernels);
 }
 
 void
@@ -97,14 +104,20 @@ void
 NegacyclicFft::inverse(TorusPolynomial &out, const FreqPolynomial &freq,
                        const PolyKernels &kernels) const
 {
-    panicIfNot(out.size() == n_, "inverse: polynomial size mismatch");
     panicIfNot(freq.size() == n_ / 2, "inverse: freq size mismatch");
-    const size_t m = n_ / 2;
     FreqPolynomial work = freq;
-    plan_.inverse(work.data(), kernels);
+    inverse(out, work.data(), kernels);
+}
+
+void
+NegacyclicFft::inverse(TorusPolynomial &out, Cplx *work,
+                       const PolyKernels &kernels) const
+{
+    panicIfNot(out.size() == n_, "inverse: polynomial size mismatch");
+    const size_t m = n_ / 2;
+    plan_.inverse(work, kernels);
     // Untwist by conj(w^j), round to the integer grid, wrap mod 2^32.
-    kernels.untwist(out.data(), out.data() + m, work.data(),
-                    twist_.data(), m);
+    kernels.untwist(out.data(), out.data() + m, work, twist_.data(), m);
 }
 
 void

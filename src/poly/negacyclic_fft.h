@@ -15,6 +15,14 @@
  *     A_{2t} = sum_{j<N/2} (u_j w^j) exp(+2*pi*i*t*j/(N/2)),
  * while odd-indexed values follow by conjugate symmetry, so the even
  * half determines the whole transform of a real polynomial.
+ *
+ * Frequency order: the N/2 points of a FreqPolynomial are in the
+ * complex FFT's bit-reversed output order -- A_{2t} sits at index
+ * bit_reverse[t] of the N/2-point plan (FftPlan::bitReverse()). The
+ * order is internal: products and sums are pointwise, the inverse
+ * consumes it directly, and bootstrapping-key rows come from the same
+ * forward(). Only the wire format converts to natural order
+ * (tfhe/serialize.cpp).
  */
 
 #ifndef STRIX_POLY_NEGACYCLIC_FFT_H
@@ -29,7 +37,10 @@ namespace strix {
 
 struct PolyKernels;
 
-/** Frequency-domain image of a length-N real polynomial: N/2 points. */
+/**
+ * Frequency-domain image of a length-N real polynomial: N/2 points in
+ * bit-reversed order (see the file comment).
+ */
 using FreqPolynomial = std::vector<Cplx>;
 
 /**
@@ -50,20 +61,38 @@ class NegacyclicFft
     void forward(FreqPolynomial &out, const TorusPolynomial &poly) const;
 
     /**
+     * Forward transform of one raw row: @p coeffs holds N signed
+     * (centered-lift) coefficients, @p out receives N/2 points.
+     * Allocates nothing; the external product streams its digit rows
+     * through this.
+     */
+    void forward(Cplx *out, const int32_t *coeffs,
+                 const PolyKernels &kernels) const;
+
+    /**
      * Inverse transform onto the Torus32 grid (round and wrap
-     * mod 2^32).
+     * mod 2^32). Copies @p freq into a temporary first; hot loops use
+     * the in-place overload below.
      */
     void inverse(TorusPolynomial &out, const FreqPolynomial &freq) const;
 
     /**
-     * Batched forward transform of @p batch contiguous length-N
-     * coefficient rows: row b of @p coeffs is the N signed
-     * (centered-lift) coefficients of one polynomial, row b of @p out
-     * its N/2 frequency points. Bit-identical to calling forward() on
-     * each row; the fold/twist and every FFT stage sweep the batch as
-     * one planned pass (Strix's streaming-FFT batch schedule). This is
-     * the path the external product feeds its (k+1)*l decomposition
-     * digits through.
+     * In-place inverse over a caller-owned buffer: @p work holds N/2
+     * frequency points on entry and is clobbered (it carries the
+     * transform's intermediate values). Allocates nothing; the
+     * external product passes its dead accumulator column.
+     */
+    void inverse(TorusPolynomial &out, Cplx *work,
+                 const PolyKernels &kernels) const;
+
+    /**
+     * Forward transform of @p batch contiguous length-N coefficient
+     * rows: row b of @p coeffs is the N signed (centered-lift)
+     * coefficients of one polynomial, row b of @p out its N/2
+     * frequency points. A row loop over forward(), so bit-identical
+     * to it: a fused sweep over the batch earns a second code path
+     * only by beating per-row transforms by >= 10% on the external
+     * product.
      */
     void forwardBatch(Cplx *out, const int32_t *coeffs, size_t batch) const;
 

@@ -22,9 +22,19 @@
  *    to anything but "0"/"" before first use forces the scalar table,
  *    which is how the benchmarks A/B the two paths in one binary.
  *
+ *
+ * Frequency order: the forward transform leaves its output in
+ * bit-reversed order and the inverse consumes that order, so no
+ * permutation pass runs on the PBS path. Every backend must produce
+ * the same order; only pointwise code (mulAccumulate) and the inverse
+ * ever read a spectrum, and serialization converts to natural order
+ * at the wire (tfhe/serialize.cpp).
+ *
  * Adding a backend (NEON, AVX-512) means adding one translation unit
  * defining another PolyKernels table plus a probe in simd.cpp --
- * nothing above src/poly changes.
+ * nothing above src/poly changes. An AVX-512 radix-4 prototype
+ * measured 1.7 us against AVX2's 1.9 us per 512-point transform, too
+ * small a gain to carry a third backend.
  */
 
 #ifndef STRIX_POLY_SIMD_H
@@ -43,16 +53,28 @@ namespace strix {
  */
 struct FftTables
 {
-    size_t m;                    //!< transform size (power of two >= 2)
-    const uint32_t *bit_reverse; //!< m permutation indices
+    size_t m; //!< transform size (power of two >= 2)
     /**
-     * Stage-major twiddles: for stage len = 2, 4, ..., m (in that
-     * order), the len/2 factors w_len^j = exp(+2*pi*i*j/len) stored
-     * contiguously; m-1 entries total. Contiguous per-stage storage is
-     * what lets the vector butterflies load twiddles with plain
-     * unaligned loads instead of gathers.
+     * Pass-major radix-4 twiddles. The forward transform runs its
+     * radix-4 passes over block lengths L = m, m/4, ... down to 8 or
+     * 4; pass L (q = L/4) owns 3q contiguous entries: w^j, then
+     * w^{2j}, then w^{3j} for j in [0, q), w = exp(+2*pi*i/L). The
+     * inverse walks the same passes in reverse order from the end of
+     * the table. Contiguous per-pass streams are what let the vector
+     * butterflies load twiddles with plain unaligned loads instead of
+     * gathers.
      */
-    const Cplx *stage_twiddles;
+    const Cplx *twiddles;
+    /**
+     * Entries in @ref twiddles: m - 1 when log2(m) is even, m - 2 when
+     * it is odd (m = 2 has no radix-4 pass and no entries).
+     */
+    size_t twiddle_count;
+    /**
+     * log2(m) is odd: the forward transform ends, and the inverse
+     * starts, with a radix-2 pass over adjacent pairs.
+     */
+    bool radix2_tail;
 };
 
 /**
@@ -63,27 +85,21 @@ struct PolyKernels
 {
     const char *name; //!< "scalar", "avx2", ... (stable, test-visible)
 
-    /** In-place forward DIT FFT (positive exponent), bit-reversal included. */
+    /**
+     * In-place forward FFT (positive exponent), decimation in
+     * frequency: radix-4 passes plus a radix-2 tail when log2(m) is
+     * odd. Input is in natural order; output is in bit-reversed
+     * order, X_k at index bit_reverse[k] (FftPlan::bitReverse()). No
+     * permutation pass runs.
+     */
     void (*fftForward)(const FftTables &t, Cplx *data);
 
     /**
-     * Batched in-place forward FFT over @p batch contiguous
-     * transforms: member b occupies data[b*m, (b+1)*m). Semantically
-     * identical to calling fftForward on each member -- the tests
-     * assert bit-exact agreement -- but the stage loop is fused: after
-     * per-member bit reversal, each butterfly stage sweeps the whole
-     * batch before the next stage runs. Member starts are multiples of
-     * m (itself a multiple of every stage length), so one base sweep
-     * over batch*m elements never straddles a member boundary, and the
-     * vector backend can hoist a small stage's twiddles into registers
-     * once per stage instead of reloading them per transform. This is
-     * the software analogue of Strix's streaming FFT: the (k+1)*l
-     * decomposition digits of an external product go through the plan
-     * as one scheduled batch.
+     * In-place inverse FFT (negative exponent), scaled by 1/m,
+     * decimation in time: the exact mirror of fftForward. Input is
+     * in bit-reversed order (fftForward's output order); output is
+     * in natural order.
      */
-    void (*fftForwardBatch)(const FftTables &t, Cplx *data, size_t batch);
-
-    /** In-place inverse FFT (negative exponent), scaled by 1/m. */
     void (*fftInverse)(const FftTables &t, Cplx *data);
 
     /**
@@ -94,17 +110,6 @@ struct PolyKernels
      */
     void (*twist)(Cplx *out, const int32_t *lo, const int32_t *hi,
                   const Cplx *tw, size_t m);
-
-    /**
-     * Batched fold+twist over a contiguous digit matrix: row b of
-     * @p coeffs is the length-2m coefficient array of one polynomial
-     * (so lo = coeffs + b*2m, hi = lo + m), and row b of @p out is its
-     * m twisted points. Bit-identical to calling twist per row; a
-     * separate entry so backends may amortize the shared twist table
-     * across the batch.
-     */
-    void (*twistBatch)(Cplx *out, const int32_t *coeffs, const Cplx *tw,
-                       size_t m, size_t batch);
 
     /**
      * Untwist+round leaving the negacyclic transform: for
@@ -149,12 +154,12 @@ bool simdForcedScalar();
  */
 const PolyKernels &activeKernels();
 
-// NOTE for backend authors: each backend TU carries its own
-// file-local copy of the bit-reversal permutation instead of a shared
-// inline helper here. A header-inline function compiled into the
-// AVX2 TU would be emitted under -mavx2, and the linker may keep that
-// VEX-encoded comdat copy for *all* TUs -- leaking AVX instructions
-// into the scalar path on machines the dispatch is meant to protect.
+// NOTE for backend authors: keep helpers file-local to each backend
+// TU rather than sharing header inlines here. A header-inline function
+// compiled into the AVX2 TU would be emitted under -mavx2, and the
+// linker may keep that VEX-encoded comdat copy for *all* TUs --
+// leaking AVX instructions into the scalar path on machines the
+// dispatch is meant to protect.
 
 } // namespace strix
 

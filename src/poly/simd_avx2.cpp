@@ -12,9 +12,12 @@
  *   odd  lanes  im = vi*wr + vr*wi   (adds on odds)
  * and multiplying by the conjugate just swaps fmaddsub for fmsubadd.
  *
- * The stage-major twiddle table (FftTables::stage_twiddles) makes
- * every butterfly's twiddle load a contiguous unaligned load; the old
- * strided layout would have needed gathers.
+ * The pass-major twiddle table (FftTables::twiddles) makes every
+ * butterfly's twiddle load a contiguous unaligned load. The transforms
+ * follow the scalar reference pass for pass (radix-4 DIF forward with
+ * a radix-2 tail, its DIT mirror inverse); only the L = 4 and L = 2
+ * passes, whose blocks fit in one or two registers, get their own
+ * in-register kernels.
  */
 
 #include "poly/simd.h"
@@ -26,22 +29,9 @@
 #include <immintrin.h>
 
 #include <cmath>
-#include <utility>
 
 namespace strix {
 namespace {
-
-// Deliberately file-local (not a shared header inline): see the
-// backend-author note in simd.h.
-void
-bitReversePermute(const FftTables &t, Cplx *data)
-{
-    for (size_t i = 0; i < t.m; ++i) {
-        size_t j = t.bit_reverse[i];
-        if (i < j)
-            std::swap(data[i], data[j]);
-    }
-}
 
 /** [a0*b0, a1*b1] for 2 packed complex doubles per register. */
 inline __m256d
@@ -63,219 +53,166 @@ cplxMulConj(__m256d a, __m256d b)
     return _mm256_fmsubadd_pd(a, br, _mm256_mul_pd(as, bi));
 }
 
-/**
- * First butterfly stage (len = 2, twiddle 1): adjacent-pair
- * sum/difference, two complex values per register.
- */
-inline void
-stageLen2(double *d, size_t m)
+/** i*x for 2 packed complex doubles: [-im re] per complex. */
+inline __m256d
+mulI(__m256d x)
 {
-    for (size_t i = 0; i < m; i += 2) {
-        __m256d x = _mm256_loadu_pd(d + 2 * i); // [c_i, c_{i+1}]
-        __m256d sw = _mm256_permute2f128_pd(x, x, 0x01);
-        __m256d sum = _mm256_add_pd(x, sw);
-        // sw - x puts c_i - c_{i+1} in the *upper* lane, which is
-        // where the blend takes it from.
-        __m256d diff = _mm256_sub_pd(sw, x);
-        // [c_i + c_{i+1}, c_i - c_{i+1}]
-        _mm256_storeu_pd(d + 2 * i, _mm256_blend_pd(sum, diff, 0xC));
+    return _mm256_xor_pd(_mm256_permute_pd(x, 0x5),
+                         _mm256_setr_pd(-0.0, 0.0, -0.0, 0.0));
+}
+
+/** -i*x for 2 packed complex doubles: [im -re] per complex. */
+inline __m256d
+mulMinusI(__m256d x)
+{
+    return _mm256_xor_pd(_mm256_permute_pd(x, 0x5),
+                         _mm256_setr_pd(0.0, -0.0, 0.0, -0.0));
+}
+
+/** [c0, c1] -> [c0 + c1, c0 - c1]: one radix-2 butterfly in a register. */
+inline __m256d
+pairButterfly(__m256d x)
+{
+    __m256d sw = _mm256_permute2f128_pd(x, x, 0x01);
+    // sw - x puts c0 - c1 in the *upper* lane, which is where the
+    // blend takes it from.
+    return _mm256_blend_pd(_mm256_add_pd(x, sw), _mm256_sub_pd(sw, x), 0xC);
+}
+
+/** Radix-2 butterfly over adjacent pairs (twiddle 1), m >= 2. */
+inline void
+radix2Pairs(double *d, size_t m)
+{
+    for (size_t i = 0; i < m; i += 2)
+        _mm256_storeu_pd(d + 2 * i, pairButterfly(_mm256_loadu_pd(d + 2 * i)));
+}
+
+/**
+ * DIF radix-4 pass with q = L/4 >= 2: two complex values per register
+ * per stream. Same arithmetic as the scalar reference.
+ */
+void
+radix4DifPass(double *d, const Cplx *tw, size_t q, size_t m)
+{
+    const double *w1 = reinterpret_cast<const double *>(tw);
+    const double *w2 = w1 + 2 * q, *w3 = w1 + 4 * q;
+    for (size_t base = 0; base < m; base += 4 * q) {
+        double *x0 = d + 2 * base;
+        double *x1 = x0 + 2 * q, *x2 = x0 + 4 * q, *x3 = x0 + 6 * q;
+        for (size_t j = 0; j < 2 * q; j += 4) {
+            const __m256d a0 = _mm256_loadu_pd(x0 + j);
+            const __m256d a1 = _mm256_loadu_pd(x1 + j);
+            const __m256d a2 = _mm256_loadu_pd(x2 + j);
+            const __m256d a3 = _mm256_loadu_pd(x3 + j);
+            const __m256d t0 = _mm256_add_pd(a0, a2);
+            const __m256d t1 = _mm256_sub_pd(a0, a2);
+            const __m256d t2 = _mm256_add_pd(a1, a3);
+            const __m256d t3 = mulI(_mm256_sub_pd(a1, a3));
+            _mm256_storeu_pd(x0 + j, _mm256_add_pd(t0, t2));
+            _mm256_storeu_pd(x1 + j, cplxMul(_mm256_sub_pd(t0, t2),
+                                             _mm256_loadu_pd(w2 + j)));
+            _mm256_storeu_pd(x2 + j, cplxMul(_mm256_add_pd(t1, t3),
+                                             _mm256_loadu_pd(w1 + j)));
+            _mm256_storeu_pd(x3 + j, cplxMul(_mm256_sub_pd(t1, t3),
+                                             _mm256_loadu_pd(w3 + j)));
+        }
     }
 }
 
 /**
- * One butterfly stage of length @p len swept over @p span contiguous
- * elements; span is the transform size for a single FFT and the whole
- * chunk (members * m) for the batched sweep. Conj selects forward
- * (v*w) vs inverse (v*conj(w)).
+ * DIF radix-4 pass with L = 4 (q = 1, all twiddles 1): one block is
+ * two registers, [a0 a1] and [a2 a3].
  */
-template <bool Conj>
-inline void
-stageSweep(double *d, const Cplx *tw, size_t len, size_t span)
+void
+radix4DifQ1(double *d, size_t m)
 {
-    const size_t half = len >> 1;
-    const double *twd = reinterpret_cast<const double *>(tw);
-    for (size_t base = 0; base < span; base += len) {
-        double *lo = d + 2 * base;
-        double *hi = d + 2 * (base + half);
-        size_t j = 0;
-        // Two independent butterfly vectors per iteration keeps
-        // both FMA ports busy.
-        for (; j + 4 <= half; j += 4) {
-            __m256d w0 = _mm256_loadu_pd(twd + 2 * j);
-            __m256d w1 = _mm256_loadu_pd(twd + 2 * j + 4);
-            __m256d u0 = _mm256_loadu_pd(lo + 2 * j);
-            __m256d u1 = _mm256_loadu_pd(lo + 2 * j + 4);
-            __m256d v0 = _mm256_loadu_pd(hi + 2 * j);
-            __m256d v1 = _mm256_loadu_pd(hi + 2 * j + 4);
-            __m256d p0 = Conj ? cplxMulConj(v0, w0) : cplxMul(v0, w0);
-            __m256d p1 = Conj ? cplxMulConj(v1, w1) : cplxMul(v1, w1);
-            _mm256_storeu_pd(lo + 2 * j, _mm256_add_pd(u0, p0));
-            _mm256_storeu_pd(lo + 2 * j + 4, _mm256_add_pd(u1, p1));
-            _mm256_storeu_pd(hi + 2 * j, _mm256_sub_pd(u0, p0));
-            _mm256_storeu_pd(hi + 2 * j + 4, _mm256_sub_pd(u1, p1));
-        }
-        for (; j < half; j += 2) {
-            __m256d w = _mm256_loadu_pd(twd + 2 * j);
-            __m256d u = _mm256_loadu_pd(lo + 2 * j);
-            __m256d v = _mm256_loadu_pd(hi + 2 * j);
-            __m256d p = Conj ? cplxMulConj(v, w) : cplxMul(v, w);
-            _mm256_storeu_pd(lo + 2 * j, _mm256_add_pd(u, p));
-            _mm256_storeu_pd(hi + 2 * j, _mm256_sub_pd(u, p));
+    for (size_t i = 0; i < m; i += 4) {
+        const __m256d x01 = _mm256_loadu_pd(d + 2 * i);
+        const __m256d x23 = _mm256_loadu_pd(d + 2 * i + 4);
+        const __m256d lo = _mm256_add_pd(x01, x23); // [t0 t2]
+        __m256d hi = _mm256_sub_pd(x01, x23);       // [t1 a1-a3]
+        hi = _mm256_blend_pd(hi, mulI(hi), 0xC);    // [t1 t3]
+        _mm256_storeu_pd(d + 2 * i, pairButterfly(lo));
+        _mm256_storeu_pd(d + 2 * i + 4, pairButterfly(hi));
+    }
+}
+
+/** DIT radix-4 pass with q = L/4 >= 2; conjugate twiddles. */
+void
+radix4DitPass(double *d, const Cplx *tw, size_t q, size_t m)
+{
+    const double *w1 = reinterpret_cast<const double *>(tw);
+    const double *w2 = w1 + 2 * q, *w3 = w1 + 4 * q;
+    for (size_t base = 0; base < m; base += 4 * q) {
+        double *x0 = d + 2 * base;
+        double *x1 = x0 + 2 * q, *x2 = x0 + 4 * q, *x3 = x0 + 6 * q;
+        for (size_t j = 0; j < 2 * q; j += 4) {
+            const __m256d y0 = _mm256_loadu_pd(x0 + j);
+            const __m256d y1 = cplxMulConj(_mm256_loadu_pd(x1 + j),
+                                           _mm256_loadu_pd(w2 + j));
+            const __m256d y2 = cplxMulConj(_mm256_loadu_pd(x2 + j),
+                                           _mm256_loadu_pd(w1 + j));
+            const __m256d y3 = cplxMulConj(_mm256_loadu_pd(x3 + j),
+                                           _mm256_loadu_pd(w3 + j));
+            const __m256d s0 = _mm256_add_pd(y0, y1);
+            const __m256d d0 = _mm256_sub_pd(y0, y1);
+            const __m256d s1 = _mm256_add_pd(y2, y3);
+            const __m256d d1 = mulMinusI(_mm256_sub_pd(y2, y3));
+            _mm256_storeu_pd(x0 + j, _mm256_add_pd(s0, s1));
+            _mm256_storeu_pd(x1 + j, _mm256_add_pd(d0, d1));
+            _mm256_storeu_pd(x2 + j, _mm256_sub_pd(s0, s1));
+            _mm256_storeu_pd(x3 + j, _mm256_sub_pd(d0, d1));
         }
     }
 }
 
-/** Shared stage loop; Conj selects forward (v*w) vs inverse (v*conj(w)). */
-template <bool Conj>
-inline void
-butterflyStages(const FftTables &t, Cplx *data)
+/** DIT radix-4 pass with L = 4 (q = 1, all twiddles 1). */
+void
+radix4DitQ1(double *d, size_t m)
 {
-    double *d = reinterpret_cast<double *>(data);
-    const size_t m = t.m;
-    stageLen2(d, m);
-    const Cplx *tw = t.stage_twiddles + 1; // past the len=2 stage
-    for (size_t len = 4; len <= m; len <<= 1) {
-        stageSweep<Conj>(d, tw, len, m);
-        tw += len >> 1;
+    for (size_t i = 0; i < m; i += 4) {
+        const __m256d p = pairButterfly(_mm256_loadu_pd(d + 2 * i));
+        __m256d r = pairButterfly(_mm256_loadu_pd(d + 2 * i + 4));
+        r = _mm256_blend_pd(r, mulMinusI(r), 0xC); // [s1 d1]
+        _mm256_storeu_pd(d + 2 * i, _mm256_add_pd(p, r));
+        _mm256_storeu_pd(d + 2 * i + 4, _mm256_sub_pd(p, r));
     }
 }
 
 void
 fftForwardAvx2(const FftTables &t, Cplx *data)
 {
-    bitReversePermute(t, data);
-    butterflyStages<false>(t, data);
-}
-
-/**
- * One L1-resident chunk of the batched forward FFT: per-member bit
- * reversal, then every butterfly stage sweeps the whole chunk before
- * the next stage runs. Member starts are multiples of t.m, which
- * every stage length divides, so one base sweep over batch*m elements
- * never straddles a member.
- *
- * The batch win is twiddle amortization: the three smallest
- * twiddle-bearing stages (len 4/8/16) keep the entire stage twiddle
- * set in registers for the whole sweep, where the per-poly path
- * reloads it for every transform; the larger stages reuse the exact
- * loop of butterflyStages over the longer span. Every element sees
- * the same add/sub/FMA sequence the single-transform kernel applies,
- * so results are bit-identical to per-member fftForwardAvx2 (the
- * tests assert equality, not ULP closeness).
- */
-void
-fftForwardBatchChunkAvx2(const FftTables &t, Cplx *data, size_t batch)
-{
-    for (size_t b = 0; b < batch; ++b)
-        bitReversePermute(t, data + b * t.m);
     double *d = reinterpret_cast<double *>(data);
-    const size_t m = t.m;
-    const size_t total = m * batch;
-    stageLen2(d, total);
-    const Cplx *tw = t.stage_twiddles + 1; // past the len=2 stage
-    if (m >= 4) { // len = 4, half = 2: one hoisted register
-        const __m256d w =
-            _mm256_loadu_pd(reinterpret_cast<const double *>(tw));
-        for (size_t base = 0; base < total; base += 4) {
-            double *lo = d + 2 * base;
-            double *hi = lo + 4;
-            __m256d u = _mm256_loadu_pd(lo);
-            __m256d v = _mm256_loadu_pd(hi);
-            __m256d p = cplxMul(v, w);
-            _mm256_storeu_pd(lo, _mm256_add_pd(u, p));
-            _mm256_storeu_pd(hi, _mm256_sub_pd(u, p));
-        }
-        tw += 2;
+    const Cplx *tw = t.twiddles;
+    size_t len = t.m;
+    for (; len >= 8; len >>= 2) {
+        radix4DifPass(d, tw, len >> 2, t.m);
+        tw += 3 * (len >> 2);
     }
-    if (m >= 8) { // len = 8, half = 4: two hoisted registers
-        const double *twd = reinterpret_cast<const double *>(tw);
-        const __m256d w0 = _mm256_loadu_pd(twd);
-        const __m256d w1 = _mm256_loadu_pd(twd + 4);
-        for (size_t base = 0; base < total; base += 8) {
-            double *lo = d + 2 * base;
-            double *hi = lo + 8;
-            __m256d u0 = _mm256_loadu_pd(lo);
-            __m256d u1 = _mm256_loadu_pd(lo + 4);
-            __m256d v0 = _mm256_loadu_pd(hi);
-            __m256d v1 = _mm256_loadu_pd(hi + 4);
-            __m256d p0 = cplxMul(v0, w0);
-            __m256d p1 = cplxMul(v1, w1);
-            _mm256_storeu_pd(lo, _mm256_add_pd(u0, p0));
-            _mm256_storeu_pd(lo + 4, _mm256_add_pd(u1, p1));
-            _mm256_storeu_pd(hi, _mm256_sub_pd(u0, p0));
-            _mm256_storeu_pd(hi + 4, _mm256_sub_pd(u1, p1));
-        }
-        tw += 4;
-    }
-    if (m >= 16) { // len = 16, half = 8: four hoisted registers
-        const double *twd = reinterpret_cast<const double *>(tw);
-        const __m256d w0 = _mm256_loadu_pd(twd);
-        const __m256d w1 = _mm256_loadu_pd(twd + 4);
-        const __m256d w2 = _mm256_loadu_pd(twd + 8);
-        const __m256d w3 = _mm256_loadu_pd(twd + 12);
-        for (size_t base = 0; base < total; base += 16) {
-            double *lo = d + 2 * base;
-            double *hi = lo + 16;
-            __m256d u0 = _mm256_loadu_pd(lo);
-            __m256d u1 = _mm256_loadu_pd(lo + 4);
-            __m256d v0 = _mm256_loadu_pd(hi);
-            __m256d v1 = _mm256_loadu_pd(hi + 4);
-            __m256d p0 = cplxMul(v0, w0);
-            __m256d p1 = cplxMul(v1, w1);
-            _mm256_storeu_pd(lo, _mm256_add_pd(u0, p0));
-            _mm256_storeu_pd(lo + 4, _mm256_add_pd(u1, p1));
-            _mm256_storeu_pd(hi, _mm256_sub_pd(u0, p0));
-            _mm256_storeu_pd(hi + 4, _mm256_sub_pd(u1, p1));
-            __m256d u2 = _mm256_loadu_pd(lo + 8);
-            __m256d u3 = _mm256_loadu_pd(lo + 12);
-            __m256d v2 = _mm256_loadu_pd(hi + 8);
-            __m256d v3 = _mm256_loadu_pd(hi + 12);
-            __m256d p2 = cplxMul(v2, w2);
-            __m256d p3 = cplxMul(v3, w3);
-            _mm256_storeu_pd(lo + 8, _mm256_add_pd(u2, p2));
-            _mm256_storeu_pd(lo + 12, _mm256_add_pd(u3, p3));
-            _mm256_storeu_pd(hi + 8, _mm256_sub_pd(u2, p2));
-            _mm256_storeu_pd(hi + 12, _mm256_sub_pd(u3, p3));
-        }
-        tw += 8;
-    }
-    for (size_t len = 32; len <= m; len <<= 1) {
-        stageSweep<false>(d, tw, len, total);
-        tw += len >> 1;
-    }
-}
-
-/**
- * Batched forward FFT. The stage-major sweep re-touches a chunk's
- * entire data once per stage, so the chunk working set is capped near
- * 32 KiB (half a typical L1d): members beyond that are processed as
- * consecutive L1-resident chunks. This keeps the small-stage twiddle
- * amortization where it pays (many members per chunk at the external
- * product's m = N/2 sizes) without turning large-m sweeps into
- * L2-streaming loops. Chunking only changes the order independent
- * members are processed in, never the per-member arithmetic.
- */
-void
-fftForwardBatchAvx2(const FftTables &t, Cplx *data, size_t batch)
-{
-    constexpr size_t kChunkPoints = 2048; // * sizeof(Cplx) = 32 KiB
-    const size_t max_members =
-        t.m >= kChunkPoints ? 1 : kChunkPoints / t.m;
-    while (batch > 0) {
-        const size_t members =
-            batch < max_members ? batch : max_members;
-        fftForwardBatchChunkAvx2(t, data, members);
-        data += members * t.m;
-        batch -= members;
-    }
+    if (len == 4)
+        radix4DifQ1(d, t.m);
+    else if (len == 2)
+        radix2Pairs(d, t.m);
 }
 
 void
 fftInverseAvx2(const FftTables &t, Cplx *data)
 {
-    bitReversePermute(t, data);
-    butterflyStages<true>(t, data);
     double *d = reinterpret_cast<double *>(data);
+    const Cplx *tw = t.twiddles + t.twiddle_count;
+    size_t len;
+    if (t.radix2_tail) {
+        radix2Pairs(d, t.m);
+        len = 8;
+    } else {
+        radix4DitQ1(d, t.m);
+        tw -= 3; // the q = 1 pass owns the table's last entries
+        len = 16;
+    }
+    for (; len <= t.m; len <<= 2) {
+        tw -= 3 * (len >> 2);
+        radix4DitPass(d, tw, len >> 2, t.m);
+    }
     const __m256d inv =
         _mm256_set1_pd(1.0 / static_cast<double>(t.m));
     for (size_t i = 0; i < 2 * t.m; i += 4)
@@ -308,17 +245,6 @@ twistAvx2(Cplx *out, const int32_t *lo, const int32_t *hi, const Cplx *tw,
         out[j] = Cplx(static_cast<double>(lo[j]),
                       static_cast<double>(hi[j])) *
                  tw[j];
-}
-
-void
-twistBatchAvx2(Cplx *out, const int32_t *coeffs, const Cplx *tw, size_t m,
-               size_t batch)
-{
-    // The twist table is shared by every row and stays cache-hot
-    // across the batch; the per-row loop is already vectorized.
-    for (size_t b = 0; b < batch; ++b)
-        twistAvx2(out + b * m, coeffs + b * 2 * m, coeffs + b * 2 * m + m,
-                  tw, m);
 }
 
 void
@@ -395,9 +321,8 @@ mulAccumulateAvx2(Cplx *out, const Cplx *a, const Cplx *b, size_t m)
 }
 
 const PolyKernels kAvx2Kernels = {
-    "avx2",         fftForwardAvx2, fftForwardBatchAvx2,
-    fftInverseAvx2, twistAvx2,      twistBatchAvx2,
-    untwistAvx2,    mulAccumulateAvx2,
+    "avx2",    fftForwardAvx2, fftInverseAvx2,
+    twistAvx2, untwistAvx2,    mulAccumulateAvx2,
 };
 
 } // namespace

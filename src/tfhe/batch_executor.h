@@ -20,12 +20,12 @@
  * saturated stream runs at full occupancy while a trickle still meets
  * a microsecond-scale latency bound. The staging is double-buffered:
  * the dispatcher swaps a shard's fill queue out under the lock and
- * runs the decompose -> batch-FFT -> MAC sweep outside it, so the next
- * batch fills while the current one is in flight. (Within the sweep,
- * the PR 4 fused external product already streams all decomposition
- * digits through one planned batch FFT -- the executor supplies that
- * pipeline with full batches, which is the paper's TvLP knob in
- * software.)
+ * runs the PBS sweep outside it, so the next batch fills while the
+ * current one is in flight. (Within the sweep, bootstrapBatch cuts the
+ * batch into one chunk per worker and blind-rotates each chunk
+ * key-stationary, so every bootstrapping-key GGSW serves a whole chunk
+ * per fetch -- the executor supplies that pipeline with full batches,
+ * which is the paper's TvLP knob in software.)
  *
  * Time comes from a WaitableClock, so the deadline path is testable
  * with a ManualWaitableClock and no real sleeps.

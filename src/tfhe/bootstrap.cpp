@@ -5,6 +5,8 @@
 
 #include "tfhe/bootstrap.h"
 
+#include <utility>
+
 #include "common/logging.h"
 
 namespace strix {
@@ -278,32 +280,49 @@ modulusSwitch(Torus32 a, uint32_t big_n)
 }
 
 void
-blindRotate(GlweCiphertext &acc, const LweCiphertext &ct,
-            const BootstrappingKey &bsk, PbsScratch &scratch)
+blindRotateBatch(GlweCiphertext *accs, const LweCiphertext *cts,
+                 size_t count, const BootstrappingKey &bsk,
+                 PbsScratch &scratch)
 {
     const TfheParams &p = bsk.params();
-    panicIfNot(ct.dim() == p.n, "blindRotate: ciphertext dim mismatch");
+    for (size_t c = 0; c < count; ++c)
+        panicIfNot(cts[c].dim() == p.n,
+                   "blindRotate: ciphertext dim mismatch");
     const uint32_t two_n = 2 * p.N;
     const ModSwitch ms(p.N);
 
     // Initial rotation by -b~ (Algorithm 1, line 4).
-    const uint32_t b_tilde = ms(ct.b());
-    if (b_tilde != 0) {
-        GlweCiphertext rotated(p.k, p.N);
-        for (uint32_t c = 0; c <= p.k; ++c)
-            negacyclicRotate(rotated.poly(c), acc.poly(c),
+    for (size_t c = 0; c < count; ++c) {
+        const uint32_t b_tilde = ms(cts[c].b());
+        if (b_tilde == 0)
+            continue;
+        GlweCiphertext &rotated = scratch.prod;
+        if (rotated.k() != p.k || rotated.ringDim() != p.N)
+            rotated = GlweCiphertext(p.k, p.N);
+        for (uint32_t j = 0; j <= p.k; ++j)
+            negacyclicRotate(rotated.poly(j), accs[c].poly(j),
                              two_n - b_tilde);
-        acc = std::move(rotated);
+        std::swap(accs[c], rotated);
     }
 
-    // n CMux iterations (lines 5-12); each is one blind-rotation
-    // iteration of the Strix PBS cluster.
+    // n CMux iterations (lines 5-12), key-stationary: one GGSW serves
+    // the whole chunk before the next is loaded.
     for (uint32_t i = 0; i < p.n; ++i) {
-        const uint32_t a_tilde = ms(ct.a(i));
-        if (a_tilde == 0)
-            continue; // rotation by X^0 - 1 = 0 contributes nothing
-        bsk.bit(i).cmuxRotate(acc, a_tilde, scratch);
+        const GgswFft &bit = bsk.bit(i);
+        for (size_t c = 0; c < count; ++c) {
+            const uint32_t a_tilde = ms(cts[c].a(i));
+            if (a_tilde == 0)
+                continue; // rotation by X^0 - 1 = 0 contributes nothing
+            bit.cmuxRotate(accs[c], a_tilde, scratch);
+        }
     }
+}
+
+void
+blindRotate(GlweCiphertext &acc, const LweCiphertext &ct,
+            const BootstrappingKey &bsk, PbsScratch &scratch)
+{
+    blindRotateBatch(&acc, &ct, 1, bsk, scratch);
 }
 
 void

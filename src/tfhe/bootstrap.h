@@ -161,8 +161,29 @@ class ModSwitch
 uint32_t modulusSwitch(Torus32 a, uint32_t big_n);
 
 /**
+ * Key-stationary blind rotation of a chunk of ciphertexts, the
+ * software form of Strix's core-level batching: iteration i applies
+ * bsk.bit(i) to every accumulator of the chunk before bit(i+1) is
+ * touched, so each GGSW of the key streams in from memory once per
+ * chunk rather than once per ciphertext. accs[c] is rotated by cts[c]
+ * exactly as blindRotate would, bit for bit: the per-accumulator
+ * sequence of operations is unchanged, only interleaved.
+ *
+ * @param accs    @p count accumulators; in: trivial GLWEs of the test
+ *                vectors, out: rotated GLWEs
+ * @param cts     @p count LWE ciphertexts (dimension n)
+ * @param count   chunk width (0 is a no-op)
+ * @param bsk     bootstrapping key
+ * @param scratch per-thread working buffers shared by the chunk
+ */
+void blindRotateBatch(GlweCiphertext *accs, const LweCiphertext *cts,
+                      size_t count, const BootstrappingKey &bsk,
+                      PbsScratch &scratch);
+
+/**
  * Blind rotation (Algorithm 1, lines 4-12): rotate @p acc by -b~, then
- * run n CMux iterations accumulating X^{a~_i * s_i}.
+ * run n CMux iterations accumulating X^{a~_i * s_i}. The chunk-of-1
+ * case of blindRotateBatch.
  *
  * @param acc     in: trivial GLWE of the test vector; out: rotated GLWE
  * @param ct      the LWE ciphertext being bootstrapped (dimension n)

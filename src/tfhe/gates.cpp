@@ -112,8 +112,9 @@ instrumentedGateBootstrap(const ServerContext &ctx, const LweCiphertext &linear)
     }
 
     // Blind rotation with per-phase timers; computation is identical
-    // to GgswFft::cmuxRotate, including the batch-fused FFT sweep
-    // over all (k+1)*l decomposition digits.
+    // to GgswFft::cmuxRotate (bit for bit), but all (k+1)*l digit rows
+    // are transformed before the multiply-accumulate starts so the
+    // FFT and VMA phases time separately.
     const size_t nrows = (size_t(p.k) + 1) * g.levels;
     const size_t half_n = size_t(p.N) / 2;
     const PolyKernels &kernels = activeKernels();
@@ -121,6 +122,7 @@ instrumentedGateBootstrap(const ServerContext &ctx, const LweCiphertext &linear)
     std::vector<int32_t> digit_coeffs(nrows * p.N);
     std::vector<Cplx> fdigits(nrows * half_n);
     std::vector<FreqPolynomial> facc(p.k + 1);
+    TorusPolynomial prod(p.N);
     for (uint32_t i = 0; i < p.n; ++i) {
         const uint32_t a_tilde = ms(linear.a(i));
         if (a_tilde == 0)
@@ -158,9 +160,8 @@ instrumentedGateBootstrap(const ServerContext &ctx, const LweCiphertext &linear)
         }
         {
             PhaseTimer t(g_stats.ifft_accum_s);
-            TorusPolynomial prod(p.N);
             for (uint32_t c = 0; c <= p.k; ++c) {
-                eng.inverse(prod, facc[c]);
+                eng.inverse(prod, facc[c].data(), kernels);
                 acc.poly(c).addAssign(prod);
             }
         }

@@ -138,18 +138,20 @@ GgswFft::externalProduct(GlweCiphertext &out, const GlweCiphertext &glwe,
     const PolyKernels &kernels = activeKernels();
 
     // Decompose every component (Decomposer unit) into one contiguous
-    // digit matrix, transform all (k+1)*l digits in a single batched
-    // FFT sweep (FFT unit -- Strix streams the whole decomposition of
-    // a batch through the transform as one schedule, not digit by
-    // digit), multiply-accumulate against bsk rows (VMA unit),
-    // inverse-transform each output column (IFFT unit).
+    // digit matrix, then stream the (k+1)*l digit rows one at a time
+    // through the forward FFT (FFT unit) and straight into the
+    // multiply-accumulate against the bsk rows (VMA unit): the one
+    // frequency-domain digit stays L1-resident between the two.
+    // Finally inverse-transform each accumulator column in place
+    // (IFFT unit); the column is dead afterwards, so the inverse
+    // needs no buffer of its own.
     const size_t nrows = (size_t(k_) + 1) * g_.levels;
     const size_t m = size_t(big_n_) / 2;
     std::vector<int32_t> &coeffs = scratch.digit_coeffs;
-    std::vector<Cplx> &fdigits = scratch.fdigits;
+    FreqPolynomial &fdigit = scratch.fdigit;
     std::vector<FreqPolynomial> &acc = scratch.acc;
     coeffs.resize(nrows * big_n_);
-    fdigits.resize(nrows * m);
+    fdigit.resize(m);
     if (acc.size() != size_t(k_) + 1)
         acc.resize(size_t(k_) + 1);
     for (auto &col : acc)
@@ -159,18 +161,17 @@ GgswFft::externalProduct(GlweCiphertext &out, const GlweCiphertext &glwe,
         gadgetDecomposePolyInto(
             coeffs.data() + size_t(comp) * g_.levels * big_n_,
             glwe.poly(comp), g_);
-    eng.forwardBatch(fdigits.data(), coeffs.data(), nrows, kernels);
     for (size_t r = 0; r < nrows; ++r) {
-        const Cplx *fdigit = fdigits.data() + r * m;
+        eng.forward(fdigit.data(), coeffs.data() + r * big_n_, kernels);
         for (uint32_t c = 0; c <= k_; ++c)
-            kernels.mulAccumulate(acc[c].data(), fdigit,
+            kernels.mulAccumulate(acc[c].data(), fdigit.data(),
                                   row(r, c).data(), m);
     }
 
     if (out.k() != k_ || out.ringDim() != big_n_)
         out = GlweCiphertext(k_, big_n_);
     for (uint32_t c = 0; c <= k_; ++c)
-        eng.inverse(out.poly(c), acc[c], kernels);
+        eng.inverse(out.poly(c), acc[c].data(), kernels);
 }
 
 void
@@ -178,33 +179,7 @@ GgswFft::externalProductPerPoly(GlweCiphertext &out,
                                 const GlweCiphertext &glwe,
                                 PbsScratch &scratch) const
 {
-    panicIfNot(glwe.k() == k_ && glwe.ringDim() == big_n_,
-               "externalProduct(fft): shape mismatch");
-    const auto &eng = NegacyclicFft::get(big_n_);
-
-    // One transform per digit: the pre-fusion dataflow, kept as the
-    // reference the batched path must match bit for bit.
-    std::vector<IntPolynomial> &digits = scratch.digits;
-    std::vector<FreqPolynomial> &acc = scratch.acc;
-    FreqPolynomial &fdigit = scratch.fdigit;
-    if (acc.size() != size_t(k_) + 1)
-        acc.resize(size_t(k_) + 1);
-    for (auto &col : acc)
-        col.assign(big_n_ / 2, Cplx(0, 0));
-    for (uint32_t comp = 0; comp <= k_; ++comp) {
-        gadgetDecomposePoly(digits, glwe.poly(comp), g_);
-        for (uint32_t level = 0; level < g_.levels; ++level) {
-            eng.forward(fdigit, digits[level]);
-            size_t r = size_t(comp) * g_.levels + level;
-            for (uint32_t c = 0; c <= k_; ++c)
-                NegacyclicFft::mulAccumulate(acc[c], fdigit, row(r, c));
-        }
-    }
-
-    if (out.k() != k_ || out.ringDim() != big_n_)
-        out = GlweCiphertext(k_, big_n_);
-    for (uint32_t c = 0; c <= k_; ++c)
-        eng.inverse(out.poly(c), acc[c]);
+    externalProduct(out, glwe, scratch);
 }
 
 void

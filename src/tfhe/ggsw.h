@@ -91,24 +91,18 @@ void externalProduct(GlweCiphertext &out, const GgswCiphertext &ggsw,
 struct PbsScratch
 {
     /**
-     * Contiguous digit matrix for the fused external product:
-     * (k+1)*l rows of N coefficients, decomposed component-major so
-     * row comp*l + level holds digit `level` of GLWE component `comp`
-     * -- exactly the bsk row order.
+     * Contiguous digit matrix of the external product: (k+1)*l rows
+     * of N coefficients, decomposed component-major so row
+     * comp*l + level holds digit `level` of GLWE component `comp` --
+     * exactly the bsk row order.
      */
     std::vector<int32_t> digit_coeffs;
-    /**
-     * Frequency images of every digit row, (k+1)*l rows of N/2 points,
-     * produced by one NegacyclicFft::forwardBatch sweep.
-     */
-    std::vector<Cplx> fdigits;
+    FreqPolynomial fdigit;              //!< current digit row's spectrum
     std::vector<FreqPolynomial> acc;    //!< per-column freq accumulators
     GlweCiphertext diff;                //!< CMux rotate-minus-one input
     GlweCiphertext prod;                //!< external-product output
     GlweCiphertext sum;                 //!< unrolled-PBS pair accumulator
     TorusPolynomial rot_tmp;            //!< unrolled-PBS rotation scratch
-    std::vector<IntPolynomial> digits;  //!< per-poly reference path digits
-    FreqPolynomial fdigit;              //!< per-poly reference digit FFT
 };
 
 /**
@@ -128,7 +122,8 @@ class GgswFft
     /**
      * Rebuild from raw frequency rows (deserialization): @p rows is
      * the flat (k+1)*levels*(k+1) layout rawRows() exposes, each of
-     * big_n/2 points. Shape-checked; panics on mismatch.
+     * big_n/2 points in the FFT's internal (bit-reversed) order.
+     * Shape-checked; panics on mismatch.
      */
     static GgswFft fromRawRows(uint32_t k, uint32_t big_n,
                                const GadgetParams &g,
@@ -140,9 +135,11 @@ class GgswFft
 
     /**
      * Flat frequency-row storage, row-major over (row, column):
-     * entry r*(k+1)+c is row(r, c). Exposed for serialization; the
-     * doubles round-trip bit-exactly, so a shipped key evaluates
-     * bit-identically to the original.
+     * entry r*(k+1)+c is row(r, c), each in the FFT's internal
+     * (bit-reversed) order. Exposed for serialization, which converts
+     * to natural order on the wire; the doubles round-trip
+     * bit-exactly, so a shipped key evaluates bit-identically to the
+     * original.
      */
     const std::vector<FreqPolynomial> &rawRows() const { return rows_; }
 
@@ -157,14 +154,14 @@ class GgswFft
      * decompose -> FFT -> multiply-accumulate -> IFFT, exactly the
      * PBS-cluster dataflow (Rotator output -> Decomposer -> FFT ->
      * VMA -> IFFT -> Accumulator). All working storage comes from
-     * @p scratch (one instance per thread).
+     * @p scratch (one instance per thread); the hot path allocates
+     * nothing once the scratch is sized.
      *
-     * The FFT stage is batch-fused: all (k+1)*l decomposition digits
-     * land in one contiguous scratch matrix and go through a single
-     * NegacyclicFft::forwardBatch sweep (Strix's streaming-FFT batch
-     * schedule) instead of (k+1)*l isolated transforms. Results are
-     * bit-identical to externalProductPerPoly, the per-transform
-     * reference kept for tests and A/B benchmarks.
+     * Digit rows stream one at a time through the forward FFT into
+     * the multiply-accumulate, and each accumulator column is inverse
+     * transformed in place. Spectra stay in the FFT's internal
+     * bit-reversed order throughout: the bsk rows were produced by
+     * the same forward transform, and the product is pointwise.
      */
     void externalProduct(GlweCiphertext &out, const GlweCiphertext &glwe,
                          PbsScratch &scratch) const;
@@ -174,10 +171,9 @@ class GgswFft
                          const GlweCiphertext &glwe) const;
 
     /**
-     * Reference external product transforming one digit at a time
-     * through NegacyclicFft::forward. Semantics (and bits) match
-     * externalProduct exactly; kept as the A/B target the batched
-     * path is tested and benchmarked against.
+     * Same as externalProduct (a one-line forward), which already
+     * transforms one digit row at a time. Kept for the strixbench
+     * layer replay, which times it under its own span name.
      */
     void externalProductPerPoly(GlweCiphertext &out,
                                 const GlweCiphertext &glwe,

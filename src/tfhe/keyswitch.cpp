@@ -97,18 +97,21 @@ keySwitch(const LweCiphertext &ct, const KeySwitchKey &ksk)
     const GadgetParams &g = ksk.gadget();
 
     // o[m] = c[n] (Algorithm 2, line 2), then subtract the decomposed
-    // mask against the key rows.
+    // mask against the key rows: out -= digit * row in one pass per
+    // row, wrapping mod 2^32 exactly as scale-then-subtract would.
     LweCiphertext out = LweCiphertext::trivial(ksk.outDim(), ct.b());
     std::vector<int32_t> digits(g.levels);
-    LweCiphertext scaled(ksk.outDim());
+    Torus32 *o = out.raw().data();
+    const size_t width = size_t(ksk.outDim()) + 1; // mask + body
     for (uint32_t i = 0; i < ksk.inDim(); ++i) {
         gadgetDecompose(digits.data(), ct.a(i), g);
         for (uint32_t j = 0; j < g.levels; ++j) {
             if (digits[j] == 0)
                 continue;
-            scaled = ksk.row(i, j);
-            scaled.scalarMulAssign(digits[j]);
-            out.subAssign(scaled);
+            const uint32_t digit = static_cast<uint32_t>(digits[j]);
+            const Torus32 *row = ksk.row(i, j).raw().data();
+            for (size_t x = 0; x < width; ++x)
+                o[x] -= digit * row[x];
         }
     }
     return out;

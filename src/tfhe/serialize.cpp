@@ -19,6 +19,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "poly/complex_fft.h"
+
 namespace strix {
 
 // FrameWriter/FrameReader implementations moved to common/frame.cpp.
@@ -76,47 +78,62 @@ getU64Le(const unsigned char *in)
     return bits;
 }
 
-/** Stage @p row into @p buf, 16 bytes per complex point. */
+/**
+ * Stage @p row into @p buf, 16 bytes per complex point, in natural
+ * spectral order: wire point t is A_{2t}, which the FFT keeps at
+ * internal index bit_reverse[t] (poly/negacyclic_fft.h). Writing the
+ * natural order keeps the byte format independent of how the
+ * transform orders its output, so frames from older builds, whose
+ * FFT produced natural order directly, still load.
+ */
 void
 stageFreqPoly(std::vector<unsigned char> &buf, const FreqPolynomial &row)
 {
+    const std::vector<uint32_t> &rev = FftPlan::get(row.size()).bitReverse();
     buf.resize(row.size() * 16);
-    for (size_t j = 0; j < row.size(); ++j) {
+    for (size_t t = 0; t < row.size(); ++t) {
         uint64_t re_bits, im_bits;
-        const double re = row[j].real(), im = row[j].imag();
+        const Cplx point = row[rev[t]];
+        const double re = point.real(), im = point.imag();
         std::memcpy(&re_bits, &re, sizeof(re_bits));
         std::memcpy(&im_bits, &im, sizeof(im_bits));
-        putU64Le(buf.data() + j * 16, re_bits);
-        putU64Le(buf.data() + j * 16 + 8, im_bits);
+        putU64Le(buf.data() + t * 16, re_bits);
+        putU64Le(buf.data() + t * 16 + 8, im_bits);
     }
 }
 
-/** Decode a staged freq row back into @p row (half_n points). */
+/**
+ * Decode a staged freq row (half_n points, natural order) back into
+ * @p row in the FFT's internal bit-reversed order; the inverse of
+ * stageFreqPoly.
+ */
 void
 unstageFreqPoly(FreqPolynomial &row, const std::vector<unsigned char> &buf,
                 size_t half_n)
 {
+    const std::vector<uint32_t> &rev = FftPlan::get(half_n).bitReverse();
     row.resize(half_n);
-    for (size_t j = 0; j < half_n; ++j) {
-        uint64_t re_bits = getU64Le(buf.data() + j * 16);
-        uint64_t im_bits = getU64Le(buf.data() + j * 16 + 8);
+    for (size_t t = 0; t < half_n; ++t) {
+        uint64_t re_bits = getU64Le(buf.data() + t * 16);
+        uint64_t im_bits = getU64Le(buf.data() + t * 16 + 8);
         double re, im;
         std::memcpy(&re, &re_bits, sizeof(re));
         std::memcpy(&im, &im_bits, sizeof(im));
-        row[j] = Cplx(re, im);
+        row[rev[t]] = Cplx(re, im);
     }
 }
 
 /**
  * Plausibility caps for a BSK shape off the wire -- same caps as the
- * LWE/GLWE key readers, plus power-of-two N: the FFT engine panics
- * (aborts) on other sizes, and hostile input must throw, never abort.
+ * LWE/GLWE key readers, plus power-of-two N >= 4: the FFT engine (and
+ * the spectral-order tables the row staging uses) panics (aborts) on
+ * other sizes, and hostile input must throw, never abort.
  */
 void
 checkBskShape(uint32_t n, uint32_t k, uint32_t big_n,
               const GadgetParams &g)
 {
-    if (n == 0 || n > (1u << 24) || k == 0 || k > 16 || big_n < 2 ||
+    if (n == 0 || n > (1u << 24) || k == 0 || k > 16 || big_n < 4 ||
         big_n > (1u << 20) || (big_n & (big_n - 1)) != 0 ||
         g.levels == 0 || g.levels > 64 || g.base_bits == 0 ||
         g.base_bits > 32)

@@ -5,6 +5,8 @@
 
 #include "tfhe/server_context.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "poly/negacyclic_fft.h"
 #include "tfhe/batch_executor.h"
@@ -79,17 +81,8 @@ std::vector<LweCiphertext>
 ServerContext::bootstrapBatch(const LweCiphertext *cts, size_t count,
                               const TorusPolynomial &test_vector) const
 {
-    std::shared_ptr<ThreadPool> pool = this->pool();
-    std::vector<LweCiphertext> out(count);
-    // One scratch per worker: blind rotation allocates nothing and
-    // shares nothing, so workers never touch common mutable state.
-    std::vector<PbsScratch> scratch(pool->threads());
-    pool->parallelFor(count, [&](size_t i, unsigned worker) {
-        LweCiphertext big = programmableBootstrap(
-            cts[i], test_vector, keys_->bsk(), scratch[worker]);
-        out[i] = keySwitch(big, keys_->ksk());
-    });
-    return out;
+    const std::vector<const TorusPolynomial *> tvs(count, &test_vector);
+    return bootstrapBatch(cts, tvs.data(), count);
 }
 
 std::vector<LweCiphertext>
@@ -104,16 +97,34 @@ ServerContext::bootstrapBatch(const LweCiphertext *cts,
                               const TorusPolynomial *const *tvs,
                               size_t count) const
 {
-    for (size_t i = 0; i < count; ++i)
+    const TfheParams &p = params();
+    for (size_t i = 0; i < count; ++i) {
         panicIfNot(tvs[i] != nullptr,
                    "bootstrapBatch: null test-vector pointer");
+        panicIfNot(tvs[i]->size() == p.N,
+                   "PBS: test vector size mismatch");
+    }
     std::shared_ptr<ThreadPool> pool = this->pool();
     std::vector<LweCiphertext> out(count);
+    // One contiguous chunk per worker, each blind-rotated
+    // key-stationary (blindRotateBatch): every GGSW of the key is read
+    // once per chunk instead of once per ciphertext. Chunk sizes
+    // differ by at most one.
+    const size_t chunks = std::min<size_t>(pool->threads(), count);
+    std::vector<GlweCiphertext> accs;
+    accs.reserve(count);
+    for (size_t i = 0; i < count; ++i)
+        accs.push_back(GlweCiphertext::trivial(p.k, *tvs[i]));
+    // One scratch per worker: blind rotation allocates nothing and
+    // shares nothing, so workers never touch common mutable state.
     std::vector<PbsScratch> scratch(pool->threads());
-    pool->parallelFor(count, [&](size_t i, unsigned worker) {
-        LweCiphertext big = programmableBootstrap(
-            cts[i], *tvs[i], keys_->bsk(), scratch[worker]);
-        out[i] = keySwitch(big, keys_->ksk());
+    pool->parallelFor(chunks, [&](size_t chunk, unsigned worker) {
+        const size_t begin = chunk * count / chunks;
+        const size_t end = (chunk + 1) * count / chunks;
+        blindRotateBatch(accs.data() + begin, cts + begin, end - begin,
+                         keys_->bsk(), scratch[worker]);
+        for (size_t i = begin; i < end; ++i)
+            out[i] = keySwitch(sampleExtract(accs[i], 0), keys_->ksk());
     });
     return out;
 }

@@ -85,10 +85,9 @@ class ServerContext
 
     /**
      * Batched PBS+KS: bootstrap @p count ciphertexts against one
-     * shared test vector, parallelized across ciphertexts on the
-     * context's worker pool with one scratch buffer per worker.
-     * out[i] always corresponds to cts[i] and is bit-identical to
-     * bootstrap(cts[i], test_vector) at any thread count -- the
+     * shared test vector. Delegates to the per-test-vector overload
+     * below. out[i] always corresponds to cts[i] and is bit-identical
+     * to bootstrap(cts[i], test_vector) at any thread count -- the
      * software seam for Strix-style ciphertext batching.
      */
     std::vector<LweCiphertext>
@@ -107,6 +106,12 @@ class ServerContext
      * needs -- requests keep their own LUTs while sharing one
      * parallel sweep -- and each out[i] is bit-identical to
      * bootstrap(cts[i], *tvs[i]) at any thread count.
+     *
+     * The batch is cut into min(threads, count) contiguous chunks, one
+     * per pool worker, and each chunk is blind-rotated key-stationary
+     * (blindRotateBatch): Strix's core-level batching, where one
+     * bootstrapping-key GGSW serves every ciphertext of the chunk
+     * before the next is fetched.
      */
     std::vector<LweCiphertext>
     bootstrapBatch(const LweCiphertext *cts,

@@ -30,6 +30,13 @@ struct TableVRow
     double throughput;
 };
 
+// Keeps the discovered ctest names free of the params pointer.
+void
+PrintTo(const TableVRow &row, std::ostream *os)
+{
+    *os << "Set" << row.params->name;
+}
+
 class TableVRegression : public ::testing::TestWithParam<TableVRow>
 {
 };

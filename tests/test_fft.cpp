@@ -58,10 +58,13 @@ TEST(ComplexFft, MatchesDirectDft)
             expected[k] += data[j] * Cplx(std::cos(ang), std::sin(ang));
         }
 
-    FftPlan::get(m).forward(data.data());
+    // Documented output order: X_k sits at bit_reverse[k].
+    const FftPlan &plan = FftPlan::get(m);
+    plan.forward(data.data());
+    const std::vector<uint32_t> &rev = plan.bitReverse();
     for (size_t k = 0; k < m; ++k) {
-        EXPECT_NEAR(data[k].real(), expected[k].real(), 1e-10);
-        EXPECT_NEAR(data[k].imag(), expected[k].imag(), 1e-10);
+        EXPECT_NEAR(data[rev[k]].real(), expected[k].real(), 1e-10) << k;
+        EXPECT_NEAR(data[rev[k]].imag(), expected[k].imag(), 1e-10) << k;
     }
 }
 
@@ -236,10 +239,8 @@ TEST(SimdDispatch, ScalarTableIsAlwaysAvailable)
     const PolyKernels &s = scalarKernels();
     EXPECT_STREQ(s.name, "scalar");
     EXPECT_NE(s.fftForward, nullptr);
-    EXPECT_NE(s.fftForwardBatch, nullptr);
     EXPECT_NE(s.fftInverse, nullptr);
     EXPECT_NE(s.twist, nullptr);
-    EXPECT_NE(s.twistBatch, nullptr);
     EXPECT_NE(s.untwist, nullptr);
     EXPECT_NE(s.mulAccumulate, nullptr);
 }
@@ -405,13 +406,13 @@ INSTANTIATE_TEST_SUITE_P(RingDims, NegacyclicKernelCrossCheck,
                          ::testing::ValuesIn(kRingDims));
 
 // ---------------------------------------------------------------------------
-// Batched transforms: the fused stage sweep must be BIT-identical to
-// per-member transforms -- same table, element by element -- not just
+// Batched transforms: NegacyclicFft::forwardBatch must be BIT-identical
+// to per-row forward() -- same table, element by element -- not just
 // ULP-close. These sweeps run on every CI leg: with STRIX_SIMD=OFF
 // only the scalar table is exercised; with STRIX_FORCE_SCALAR=1 the
 // `active` leg pins to scalar while the explicit avx2 leg still runs.
 
-/** Batch sizes covering 1, odd, the PBS digit counts, and >1 chunk. */
+/** Batch sizes covering 1, odd, and the PBS digit counts. */
 const size_t kBatchSizes[] = {1, 2, 3, 4, 6, 8};
 
 /** Every kernel table reachable in this process, with a tag. */
@@ -425,6 +426,11 @@ allKernelTables()
     return tables;
 }
 
+/**
+ * Parameterized by complex-plan size m: the batch goes through the
+ * negacyclic engine of ring dimension 2m, whose rows are full-range
+ * centered lifts (torus-like), the case with the largest magnitudes.
+ */
 class FftBatchExactness : public ::testing::TestWithParam<size_t>
 {
 };
@@ -432,25 +438,30 @@ class FftBatchExactness : public ::testing::TestWithParam<size_t>
 TEST_P(FftBatchExactness, ForwardBatchBitIdenticalToSingle)
 {
     const size_t m = GetParam();
-    const FftPlan &plan = FftPlan::get(m);
+    const size_t n = 2 * m;
+    const auto &eng = NegacyclicFft::get(n);
     for (const auto &[tag, kernels] : allKernelTables()) {
         for (size_t batch : kBatchSizes) {
             Rng rng(m + 101 * batch);
-            std::vector<Cplx> fused(m * batch), single(m * batch);
-            for (auto &c : fused)
-                c = Cplx(rng.uniformDouble() - 0.5,
-                         rng.uniformDouble() - 0.5);
-            single = fused;
-            plan.forwardBatch(fused.data(), batch, *kernels);
-            for (size_t b = 0; b < batch; ++b)
-                plan.forward(single.data() + b * m, *kernels);
-            for (size_t i = 0; i < m * batch; ++i) {
-                ASSERT_EQ(fused[i].real(), single[i].real())
-                    << tag << " m=" << m << " batch=" << batch
-                    << " i=" << i;
-                ASSERT_EQ(fused[i].imag(), single[i].imag())
-                    << tag << " m=" << m << " batch=" << batch
-                    << " i=" << i;
+            std::vector<int32_t> coeffs(n * batch);
+            for (auto &c : coeffs)
+                c = static_cast<int32_t>(rng.uniformTorus32());
+            std::vector<Cplx> fused(m * batch);
+            eng.forwardBatch(fused.data(), coeffs.data(), batch, *kernels);
+            for (size_t b = 0; b < batch; ++b) {
+                TorusPolynomial row(n);
+                for (size_t j = 0; j < n; ++j)
+                    row[j] = static_cast<Torus32>(coeffs[b * n + j]);
+                FreqPolynomial single;
+                eng.forward(single, row, *kernels);
+                for (size_t i = 0; i < m; ++i) {
+                    ASSERT_EQ(fused[b * m + i].real(), single[i].real())
+                        << tag << " m=" << m << " batch=" << batch
+                        << " b=" << b << " i=" << i;
+                    ASSERT_EQ(fused[b * m + i].imag(), single[i].imag())
+                        << tag << " m=" << m << " batch=" << batch
+                        << " b=" << b << " i=" << i;
+                }
             }
         }
     }
@@ -527,6 +538,32 @@ TEST_P(NegacyclicFftBatch, DispatchedForwardBatchMatchesPerPoly)
 
 INSTANTIATE_TEST_SUITE_P(RingDims, NegacyclicFftBatch,
                          ::testing::ValuesIn(kRingDims));
+
+TEST(NegacyclicFft, InPlaceInverseMatchesCopyingInverse)
+{
+    // The allocation-free overload runs the same kernels over the
+    // caller's buffer: bit-identical to the copying overload, and
+    // still a round trip of forward().
+    for (size_t n : {size_t{4}, size_t{8}, size_t{1024}, size_t{2048}}) {
+        Rng rng(n + 41);
+        TorusPolynomial p = test::randomTorusPoly(n, rng);
+        const auto &eng = NegacyclicFft::get(n);
+        for (const auto &[tag, kernels] : allKernelTables()) {
+            FreqPolynomial f;
+            eng.forward(f, p, *kernels);
+            FreqPolynomial work = f;
+            TorusPolynomial copying(n), in_place(n);
+            eng.inverse(copying, f, *kernels);
+            eng.inverse(in_place, work.data(), *kernels);
+            for (size_t i = 0; i < n; ++i) {
+                ASSERT_EQ(in_place[i], copying[i])
+                    << tag << " n=" << n << " i=" << i;
+                EXPECT_LE(std::abs(torusDistance(in_place[i], p[i])), 1)
+                    << tag << " n=" << n << " i=" << i;
+            }
+        }
+    }
+}
 
 TEST(NegacyclicFft, MulAccumulatePanicsOnAccumulatorShapeMismatch)
 {

@@ -33,6 +33,14 @@ struct GateCase
     bool truth[4]; // f(00), f(01), f(10), f(11)
 };
 
+// Without a printer gtest shows the raw bytes of the case, pointers
+// included, so the discovered ctest names would change between builds.
+void
+PrintTo(const GateCase &gc, std::ostream *os)
+{
+    *os << gc.name;
+}
+
 class GateTruthTable : public ::testing::TestWithParam<GateCase>
 {
 };

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "tfhe/glwe.h"
 #include "tfhe/keyswitch.h"
 #include "tfhe/params.h"
@@ -29,6 +31,43 @@ TEST(KeySwitch, PreservesMessageZeroNoise)
         auto out = keySwitch(ct, ksk);
         ASSERT_EQ(out.dim(), p.n);
         EXPECT_EQ(lweDecrypt(to, out, space), m) << "m=" << m;
+    }
+}
+
+TEST(KeySwitch, SinglePassMatchesScaleThenSubtractFormula)
+{
+    // keySwitch subtracts digit * row in one fused pass per key row.
+    // It must agree bit for bit with the textbook three-pass form:
+    // copy the row, scale it by the digit, subtract it -- over noisy
+    // rows and full-range masks, so every digit value and every
+    // mod-2^32 wrap is exercised.
+    Rng rng(9);
+    TfheParams p = testParams(40, 128, 1, 3, 8, 1e-5);
+    p.l_ksk = 5;
+    p.ks_base_bits = 3;
+    LweKey from(128, rng);
+    LweKey to(p.n, rng);
+    KeySwitchKey ksk = KeySwitchKey::generate(from, to, p, rng);
+    const GadgetParams &g = ksk.gadget();
+
+    for (int trial = 0; trial < 8; ++trial) {
+        LweCiphertext ct(from.dim());
+        for (auto &w : ct.raw())
+            w = rng.uniformTorus32();
+
+        LweCiphertext expected =
+            LweCiphertext::trivial(ksk.outDim(), ct.b());
+        std::vector<int32_t> digits(g.levels);
+        for (uint32_t i = 0; i < ksk.inDim(); ++i) {
+            gadgetDecompose(digits.data(), ct.a(i), g);
+            for (uint32_t j = 0; j < g.levels; ++j) {
+                LweCiphertext scaled = ksk.row(i, j);
+                scaled.scalarMulAssign(digits[j]);
+                expected.subAssign(scaled);
+            }
+        }
+        EXPECT_EQ(keySwitch(ct, ksk).raw(), expected.raw())
+            << "trial " << trial;
     }
 }
 

@@ -349,6 +349,79 @@ TEST_F(BatchPbs, DeterministicAcrossThreadCounts)
 }
 
 /**
+ * Key-stationary chunks: bootstrapBatch cuts the batch into one
+ * contiguous chunk per worker and blind-rotates each chunk bit by
+ * bit (blindRotateBatch). Every out[i] must still be bit-identical to
+ * a lone bootstrap(cts[i], *tvs[i]) -- at widths that split unevenly
+ * across the pool, with a different LUT per neighbour, and with
+ * ciphertexts whose modswitched mask has zero entries (the CMux skip
+ * path must skip for that ciphertext only, not for its chunk).
+ */
+TEST_F(BatchPbs, KeyStationaryChunksMatchPerCiphertextBootstrap)
+{
+    const uint32_t big_n = server().params().N;
+    const std::vector<TorusPolynomial> luts{
+        makeIntTestVector(big_n, kSpace, [](int64_t v) { return v; }),
+        makeIntTestVector(big_n, kSpace,
+                          [](int64_t v) { return (v + 3) % int64_t(kSpace); }),
+        makeIntTestVector(big_n, kSpace, [](int64_t v) {
+            return (v * v) % int64_t(kSpace);
+        })};
+    const auto lut_of = [&](size_t i) -> const TorusPolynomial & {
+        return luts[i % luts.size()];
+    };
+    const auto apply = [](size_t which, int64_t v) -> int64_t {
+        switch (which) {
+          case 0: return v;
+          case 1: return (v + 3) % int64_t(kSpace);
+          default: return (v * v) % int64_t(kSpace);
+        }
+    };
+
+    for (size_t width : {size_t{1}, size_t{2}, size_t{3}, size_t{5},
+                         size_t{16}}) {
+        std::vector<LweCiphertext> cts = encryptRange(width);
+        // A trivial ciphertext: every mask entry, hence every a~_i,
+        // is zero, so its blind rotation skips all n CMuxes.
+        cts[0] = LweCiphertext::trivial(server().params().n,
+                                        encodeLut(5, kSpace));
+        // Zeroed mask entries in the middle of the batch: those
+        // iterations skip for this ciphertext while its chunk
+        // neighbours still run them.
+        LweCiphertext &holes = cts[width / 2];
+        if (width > 1)
+            for (uint32_t i = 0; i < holes.dim(); i += 3)
+                holes.a(i) = 0;
+
+        std::vector<const TorusPolynomial *> tvs;
+        for (size_t i = 0; i < width; ++i)
+            tvs.push_back(&lut_of(i));
+        std::vector<LweCiphertext> seq;
+        for (size_t i = 0; i < width; ++i)
+            seq.push_back(server().bootstrap(cts[i], *tvs[i]));
+
+        for (unsigned threads : {1u, 3u, 4u}) {
+            server().setBatchThreads(threads);
+            std::vector<LweCiphertext> batch =
+                server().bootstrapBatch(cts.data(), tvs.data(), width);
+            ASSERT_EQ(batch.size(), width);
+            for (size_t i = 0; i < width; ++i)
+                EXPECT_EQ(batch[i].raw(), seq[i].raw())
+                    << "width " << width << " threads " << threads
+                    << " ciphertext " << i;
+        }
+        EXPECT_EQ(client().decryptInt(seq[0], kSpace), apply(0, 5));
+        for (size_t i = 1; i < width; ++i) {
+            if (width > 1 && i == width / 2)
+                continue; // zeroed mask entries moved its phase
+            EXPECT_EQ(client().decryptInt(seq[i], kSpace),
+                      apply(i % luts.size(), int64_t(i % kSpace)))
+                << "width " << width << " ciphertext " << i;
+        }
+    }
+}
+
+/**
  * The stress test the ISSUE asks for: N threads x M bootstraps against
  * one shared context (hand-rolled std::thread, not the pool), checked
  * bit-exactly against the sequential answers. This is the workload

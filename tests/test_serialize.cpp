@@ -9,9 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 
+#include "poly/complex_fft.h"
 #include "tfhe/integer.h"
 #include "tfhe/serialize.h"
 #include "support/test_util.h"
@@ -751,6 +755,140 @@ TEST(SerializeEvk2, RandomByteFlipsNeverCrash)
             // Rejected: fine.
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Wire order: the FFT keeps spectra in bit-reversed order internally,
+// but frequency rows travel in natural order.
+
+/** Little-endian double at @p in. */
+double
+readF64Le(const unsigned char *in)
+{
+    uint64_t bits = 0;
+    for (int b = 0; b < 8; ++b)
+        bits |= uint64_t(in[b]) << (8 * b);
+    double v;
+    std::memcpy(&v, &bits, sizeof(v));
+    return v;
+}
+
+TEST(SerializeWireOrder, StagedRowsAreNaturalOrderSpectra)
+{
+    // Pin the byte order against first principles: wire point t of a
+    // staged row is A_{2t} of the folded, twisted polynomial,
+    //   sum_{j<N/2} (a_j + i*a_{j+N/2}) e^{i*pi*j/N} e^{2*pi*i*j*t/(N/2)},
+    // evaluated directly in O(N^2) from the GGSW's torus polynomials
+    // (centered lift), with no FFT in the reference.
+    const uint32_t big_n = 64;
+    TfheParams p = testParams(1, big_n, 1, 2, 8, 1e-4);
+    Rng rng(17);
+    GlweKey key(p.k, big_n, rng);
+    const GadgetParams g{p.bg_bits, p.l_bsk};
+    const GgswCiphertext ggsw = ggswEncrypt(key, 1, g, p.glwe_noise, rng);
+    std::vector<GgswFft> bits;
+    bits.emplace_back(ggsw);
+    const BootstrappingKey bsk = BootstrappingKey::fromBits(p, std::move(bits));
+
+    std::stringstream ss;
+    serialize(ss, bsk);
+    const std::string frame = ss.str();
+    const size_t half_n = big_n / 2;
+    const size_t nrows = size_t(ggsw.rows()) * (p.k + 1);
+    ASSERT_GE(frame.size(), nrows * half_n * 16);
+    // Rows close the frame, row-major over (GLWE row, column).
+    const auto *rows = reinterpret_cast<const unsigned char *>(
+        frame.data() + frame.size() - nrows * half_n * 16);
+
+    for (size_t r = 0; r < ggsw.rows(); ++r) {
+        for (uint32_t c = 0; c <= p.k; ++c) {
+            const TorusPolynomial &poly = ggsw.row(r).poly(c);
+            const unsigned char *row =
+                rows + (r * (p.k + 1) + c) * half_n * 16;
+            for (size_t t = 0; t < half_n; ++t) {
+                Cplx want(0, 0);
+                for (size_t j = 0; j < half_n; ++j) {
+                    const Cplx u(static_cast<int32_t>(poly[j]),
+                                 static_cast<int32_t>(poly[j + half_n]));
+                    const double ang =
+                        M_PI * double(j) / double(big_n) +
+                        2.0 * M_PI * double(j * t) / double(half_n);
+                    want += u * Cplx(std::cos(ang), std::sin(ang));
+                }
+                const double tol = 1e-9 * 0x1p31 * double(half_n);
+                EXPECT_NEAR(readF64Le(row + t * 16), want.real(), tol)
+                    << "row " << r << " col " << c << " point " << t;
+                EXPECT_NEAR(readF64Le(row + t * 16 + 8), want.imag(), tol)
+                    << "row " << r << " col " << c << " point " << t;
+            }
+        }
+    }
+}
+
+/**
+ * tests/data/evk2_radix2_n16_N128.bin: the EVK2 frame of
+ * ClientKeyset(testParams(16, 128, 1, 2, 8, 0.0), 0x5EED0C7A), written
+ * by the build whose FFT was radix-2 with an explicit bit-reversal
+ * pass and natural-order output (commit 1830015). Secret keys come
+ * from pure RNG draws, so regenerating the keyset here yields the
+ * same secret keys the fixture's bundle was made under.
+ */
+TEST(SerializeWireOrder, RadixTwoBuildEvk2FixtureLoadsAndBootstraps)
+{
+    std::ifstream in(STRIX_TEST_DATA_DIR "/evk2_radix2_n16_N128.bin",
+                     std::ios::binary);
+    ASSERT_TRUE(in.good()) << "fixture missing";
+    const std::string fixture((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+    std::stringstream wire(fixture);
+    std::shared_ptr<const EvalKeys> loaded = deserializeEvalKeys(wire);
+    ASSERT_NE(loaded, nullptr);
+
+    const TfheParams p = testParams(16, 128, 1, 2, 8, 0.0);
+    ASSERT_EQ(loaded->params().N, p.N);
+    ASSERT_EQ(loaded->params().n, p.n);
+    const ClientKeyset client(p, 0x5EED0C7A);
+
+    // Staging is a pure permutation: the loaded bodies re-serialize to
+    // the very bytes the older build wrote.
+    std::stringstream again;
+    serialize(again, *loaded, EvalKeysFormat::Seeded);
+    EXPECT_EQ(again.str(), fixture);
+
+    // The fixture's natural-order bodies land in this build's
+    // internal order: every row matches a fresh keygen of the same
+    // seed up to FFT rounding. A misplaced order would differ by the
+    // full magnitude of the spectrum.
+    const BootstrappingKey &mine = client.evalKeys()->bsk();
+    const BootstrappingKey &theirs = loaded->bsk();
+    ASSERT_EQ(theirs.n(), mine.n());
+    double worst = 0.0;
+    for (size_t i = 0; i < mine.n(); ++i) {
+        const auto &a = mine.bit(i).rawRows();
+        const auto &b = theirs.bit(i).rawRows();
+        ASSERT_EQ(a.size(), b.size());
+        for (size_t r = 0; r < a.size(); ++r)
+            for (size_t j = 0; j < a[r].size(); ++j)
+                worst = std::max(worst, std::abs(a[r][j] - b[r][j]));
+    }
+    EXPECT_LT(worst, 1e-3) << "spectra differ beyond FFT rounding";
+
+    // And the bundle decode-checks under this build's kernels.
+    ServerContext server(loaded);
+    const uint64_t space = 4;
+    auto lut = [](int64_t v) { return (3 * v + 1) % 4; };
+    std::vector<LweCiphertext> cts;
+    for (int64_t m = 0; m < 8; ++m)
+        cts.push_back(client.encryptInt(m % 4, space));
+    for (size_t i = 0; i < cts.size(); ++i)
+        EXPECT_EQ(client.decryptInt(server.applyLut(cts[i], space, lut),
+                                    space),
+                  lut(int64_t(i % 4)))
+            << "ciphertext " << i;
+    std::vector<LweCiphertext> swept = server.applyLutBatch(cts, space, lut);
+    for (size_t i = 0; i < swept.size(); ++i)
+        EXPECT_EQ(client.decryptInt(swept[i], space), lut(int64_t(i % 4)))
+            << "swept ciphertext " << i;
 }
 
 } // namespace
