@@ -15,7 +15,7 @@
  *
  * all little-endian, 44 header bytes. The payload of the TFHE request
  * types is itself made of the hardened serialize.h frames (LCT1/TPLY/
- * EVK1/EVK2), so a hostile payload is rejected by the same validating
+ * EVK2), so a hostile payload is rejected by the same validating
  * readers the file formats use; this layer only validates the outer
  * skeleton (magic, version, a per-connection payload-length cap so a
  * length-lying header can never drive allocation).
@@ -47,7 +47,7 @@ inline constexpr size_t kMsg1HeaderBytes = 44;
 enum class MsgType : uint32_t
 {
     Ping = 1,           //!< liveness probe; empty payload echoed back
-    RegisterTenant = 2, //!< payload: an EVK1/EVK2 EvalKeys frame
+    RegisterTenant = 2, //!< payload: an EVK2 EvalKeys frame
     Bootstrap = 3,      //!< payload: LCT1 ciphertext + TPLY test vector
     ApplyLut = 4,       //!< payload: msg_space + table + LCT1 ciphertext
     EvalCircuit = 5,    //!< payload: gate list + input ciphertexts

@@ -14,7 +14,7 @@
  * executor. The loop polls outstanding futures and ships each reply
  * when its work completes.
  *
- * Tenants register by uploading an EVK1/EVK2 EvalKeys bundle, which
+ * Tenants register by uploading an EVK2 EvalKeys bundle, which
  * lands in a bytes-budgeted EvalKeyCache: under key-memory pressure
  * the least-recently-used idle tenant is evicted and must re-register
  * (requests answer UnknownTenant, a structured error, never a crash).

@@ -237,10 +237,10 @@ decodeCiphertexts(const std::vector<uint8_t> &payload)
 // --- RegisterTenant --------------------------------------------------
 
 std::vector<uint8_t>
-encodeEvalKeysPayload(const EvalKeys &keys, EvalKeysFormat format)
+encodeEvalKeysPayload(const EvalKeys &keys, EvalKeysFormat)
 {
     std::ostringstream os;
-    serialize(os, keys, format);
+    serialize(os, keys);
     return streamBytes(os);
 }
 

@@ -4,7 +4,7 @@
  *
  * net/ moves opaque bytes; this module gives those bytes TFHE
  * meaning. Each request payload is built from the hardened
- * serialize.h frames (LCT1/TPLY/EVK1/EVK2) plus small typed headers
+ * serialize.h frames (LCT1/TPLY/EVK2) plus small typed headers
  * framed the same way, so every decoder below validates hostile
  * input with the same length-checked readers the file formats use:
  * malformed payloads throw std::runtime_error, never crash. The
@@ -91,10 +91,13 @@ decodeCiphertexts(const std::vector<uint8_t> &payload);
 
 // --- RegisterTenant --------------------------------------------------
 
-/** The EVK1/EVK2 frame bytes of @p keys (what RegisterTenant ships). */
+/**
+ * The EVK2 frame bytes of @p keys (what RegisterTenant ships).
+ * @p format has the one value EvalKeysFormat::Seeded.
+ */
 std::vector<uint8_t> encodeEvalKeysPayload(const EvalKeys &keys,
                                            EvalKeysFormat format);
-/** Deserialize an uploaded bundle (hardened EVK1/EVK2 readers). */
+/** Deserialize an uploaded EVK2 bundle; any other frame throws. */
 std::shared_ptr<const EvalKeys>
 decodeEvalKeysPayload(const std::vector<uint8_t> &payload);
 

@@ -67,7 +67,7 @@ class BootstrappingKey
                      std::vector<FreqPolynomial> freq_bodies);
 
     /**
-     * Rebuild from pre-transformed per-bit GGSWs (deserialization).
+     * Assemble from pre-transformed per-bit GGSWs (the seeded rebuild).
      * bits.size() must equal params.n and every GGSW must match the
      * parameter shape; panics on mismatch.
      */

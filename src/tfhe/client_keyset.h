@@ -43,8 +43,8 @@ class ClientKeyset
      * noise, KSK noise -- a given (params, seed) pair always yields
      * bit-identical keys) and prewarm the FFT plan caches for this
      * ring dimension. The BSK/KSK are generated with seeded masks, so
-     * evalKeys() carries the mask seeds and serializes as either the
-     * expanded EVK1 or the compressed EVK2 frame.
+     * evalKeys() carries the mask seeds and serializes as the
+     * compressed EVK2 frame.
      */
     // no_thread_safety_analysis: the member-initializer list draws the
     // key material from rng_ without rng_mutex_. Manual proof: a

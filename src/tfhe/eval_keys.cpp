@@ -10,8 +10,9 @@
 namespace strix {
 
 EvalKeys::EvalKeys(TfheParams params, BootstrappingKey bsk,
-                   KeySwitchKey ksk)
-    : params_(std::move(params)), bsk_(std::move(bsk)), ksk_(std::move(ksk))
+                   KeySwitchKey ksk, EvalKeySeeds seeds)
+    : params_(std::move(params)), bsk_(std::move(bsk)),
+      ksk_(std::move(ksk)), seeds_(seeds)
 {
     panicIfNot(bsk_.n() == params_.n,
                "EvalKeys: bsk dimension does not match params");
@@ -28,13 +29,6 @@ EvalKeys::EvalKeys(TfheParams params, BootstrappingKey bsk,
     panicIfNot(ksk_.gadget().base_bits == params_.ks_base_bits &&
                    ksk_.gadget().levels == params_.l_ksk,
                "EvalKeys: ksk gadget does not match params");
-}
-
-EvalKeys::EvalKeys(TfheParams params, BootstrappingKey bsk,
-                   KeySwitchKey ksk, EvalKeySeeds seeds)
-    : EvalKeys(std::move(params), std::move(bsk), std::move(ksk))
-{
-    seeds_ = seeds;
 }
 
 uint64_t

@@ -14,19 +14,17 @@
  *
  * EvalKeys contains no secret key and no RNG; code that only sees an
  * EvalKeys (or a ServerContext built on one) provably cannot decrypt.
- * Bundles serialize through the framing in serialize.h
- * (`serialize(os, keys)` / `deserializeEvalKeys(is)`), so a client
- * can export its evaluation keys to a remote server byte-exactly:
- * the frequency-domain BSK rows round-trip bit-for-bit, making
- * evaluation under a deserialized bundle bit-identical to evaluation
- * under the original.
+ * Bundles serialize as seeded `EVK2` frames (serialize.h:
+ * `serialize(os, keys)` / `deserializeEvalKeys(is)`), so a client can
+ * export its evaluation keys to a remote server: the rebuilt bundle
+ * is bit-identical to the original, making evaluation under it
+ * bit-identical too.
  */
 
 #ifndef STRIX_TFHE_EVAL_KEYS_H
 #define STRIX_TFHE_EVAL_KEYS_H
 
 #include <memory>
-#include <optional>
 
 #include "tfhe/bootstrap.h"
 #include "tfhe/keyswitch.h"
@@ -36,10 +34,9 @@ namespace strix {
 /**
  * Mask-stream root seeds recorded by seeded keygen
  * (BootstrappingKey::generateSeeded / KeySwitchKey::generateSeeded).
- * A bundle carrying these serializes as a compressed EVK2 frame (seed
- * + body components only, ~1/(k+1) of the expanded size); the seeds
- * are public material -- the masks they expand to ship in the clear
- * in the expanded format anyway.
+ * The EVK2 frame ships these plus the body components only, ~1/(k+1)
+ * of the resident size; the seeds are public material -- the masks
+ * they expand to are public in every LWE ciphertext anyway.
  */
 struct EvalKeySeeds
 {
@@ -56,16 +53,11 @@ class EvalKeys
 {
   public:
     /**
-     * Bundle @p bsk and @p ksk generated for @p params. Panics if the
+     * Bundle @p bsk and @p ksk produced by the seeded keygen path for
+     * @p params; @p seeds are their mask stream roots, kept so the
+     * bundle serializes as an EVK2 frame (serialize.h). Panics if the
      * key shapes do not match the parameter set (a mismatched bundle
      * would silently produce garbage ciphertexts).
-     */
-    EvalKeys(TfheParams params, BootstrappingKey bsk, KeySwitchKey ksk);
-
-    /**
-     * Same, for keys produced by the seeded keygen path: @p seeds are
-     * the mask stream roots, kept so the bundle can serialize in the
-     * compressed EVK2 format (serialize.h).
      */
     EvalKeys(TfheParams params, BootstrappingKey bsk, KeySwitchKey ksk,
              EvalKeySeeds seeds);
@@ -74,13 +66,8 @@ class EvalKeys
     const BootstrappingKey &bsk() const { return bsk_; }
     const KeySwitchKey &ksk() const { return ksk_; }
 
-    /**
-     * Mask seeds when this bundle came from seeded keygen (or an EVK2
-     * frame); empty for keys built from expanded material (legacy
-     * generate() or an EVK1 frame), which then only serialize in the
-     * expanded format.
-     */
-    const std::optional<EvalKeySeeds> &seeds() const { return seeds_; }
+    /** Mask stream roots of the BSK and KSK. */
+    const EvalKeySeeds &seeds() const { return seeds_; }
 
     /** Approximate in-memory bundle size (time-domain equivalent). */
     uint64_t bytes() const
@@ -101,7 +88,7 @@ class EvalKeys
     TfheParams params_;
     BootstrappingKey bsk_;
     KeySwitchKey ksk_;
-    std::optional<EvalKeySeeds> seeds_;
+    EvalKeySeeds seeds_;
 };
 
 } // namespace strix

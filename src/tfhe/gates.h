@@ -9,7 +9,7 @@
  *
  * Gates evaluate against a ServerContext (public evaluation keys
  * only): the type system guarantees gate evaluation never touches a
- * secret key. A TfheContext facade converts implicitly.
+ * secret key.
  */
 
 #ifndef STRIX_TFHE_GATES_H
@@ -54,44 +54,6 @@ LweCiphertext gateNot(const LweCiphertext &a);
 /** MUX(a, b, c) = a ? b : c. Two bootstraps plus one keyswitch. */
 LweCiphertext gateMux(const ServerContext &ctx, const LweCiphertext &a,
                       const LweCiphertext &b, const LweCiphertext &c);
-
-/**
- * Instrumentation hooks: cumulative wall time spent in each gate
- * phase, used by the Fig. 1 workload-breakdown bench. Reset with
- * gateStatsReset().
- */
-struct GateStats
-{
-    double rotate_s = 0.0;     //!< blind-rotation rotate/subtract
-    double decompose_s = 0.0;  //!< gadget decomposition
-    double fft_s = 0.0;        //!< forward FFT
-    double vecmult_s = 0.0;    //!< frequency-domain multiply-accumulate
-    double ifft_accum_s = 0.0; //!< inverse FFT + time-domain accumulate
-    double other_pbs_s = 0.0;  //!< modswitch, sample extract, misc
-    double keyswitch_s = 0.0;  //!< keyswitching
-    double linear_s = 0.0;     //!< gate linear combination
-
-    double pbsTotal() const
-    {
-        return rotate_s + decompose_s + fft_s + vecmult_s + ifft_accum_s +
-               other_pbs_s;
-    }
-    double total() const { return pbsTotal() + keyswitch_s + linear_s; }
-};
-
-/** Enable/disable timing instrumentation (off by default). */
-void gateStatsEnable(bool on);
-/** Reset the cumulative counters. */
-void gateStatsReset();
-/** Read the cumulative counters. */
-const GateStats &gateStats();
-
-/**
- * Instrumented gate bootstrap used by the Fig. 1 bench: identical
- * computation to blindRotate/keySwitch but with per-phase timers.
- */
-LweCiphertext instrumentedGateBootstrap(const ServerContext &ctx,
-                                        const LweCiphertext &linear);
 
 } // namespace strix
 

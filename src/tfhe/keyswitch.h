@@ -70,12 +70,12 @@ class KeySwitchKey
                                          uint64_t mask_seed,
                                          const std::vector<Torus32> &bodies);
 
-    /** Rebuild from raw rows (deserialization). */
+  private:
+    /** Assemble from in_dim*levels rows (fromSeededBodies). */
     static KeySwitchKey fromRows(uint32_t in_dim, uint32_t out_dim,
                                  const GadgetParams &g,
                                  std::vector<LweCiphertext> rows);
 
-  private:
     uint32_t in_dim_ = 0;
     uint32_t out_dim_ = 0;
     GadgetParams g_{0, 0};

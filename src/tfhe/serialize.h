@@ -9,20 +9,16 @@
  * object, built on a small FrameWriter/FrameReader layer (frame header
  * = type tag + version; version-2 frames add length-checked sections).
  *
- * Two generations of evaluation-key frames coexist:
- *
- *  - v1 (`BSK1`/`EVK1`): the expanded format -- every mask and body
- *    component travels. Kept as the legacy read/write path so old
- *    blobs keep loading, and the only format bundles without mask
- *    seeds can write.
- *  - v2 (`BSK2`/`KSK2`/`EVK2`): the compressed format for keys from
- *    the seeded keygen path. Mask components are pure PRNG output
- *    regenerable from a shipped 64-bit seed (Rng::fork per row), so
- *    the frame carries only seeds + body components: ~1/(k+1) of the
- *    BSK and ~1/(n+1) of the KSK -- about a third of the EVK1 size at
- *    paper set I. deserializeEvalKeys() re-expands the masks
- *    deterministically; the rebuilt bundle is bit-identical to the
- *    directly generated one (same process / same FFT kernel).
+ * Evaluation keys travel in one format, the seeded `EVK2` frame
+ * (nested `BSK2`/`KSK2` frames). Mask components are pure PRNG output
+ * regenerable from a shipped 64-bit seed (Rng::fork per row), so the
+ * frame carries only seeds + body components: ~1/(k+1) of the
+ * resident BSK and ~1/(n+1) of the resident KSK -- about a third of
+ * EvalKeys::residentBytes() at paper set I. deserializeEvalKeys()
+ * re-expands the masks deterministically; the rebuilt bundle is
+ * bit-identical to the directly generated one (same process / same
+ * FFT kernel). Any other frame tag or version is rejected like
+ * malformed input.
  */
 
 #ifndef STRIX_TFHE_SERIALIZE_H
@@ -41,10 +37,10 @@
 
 namespace strix {
 
-/** Format version written into every v1 frame. */
+/** Format version of the params, key, ciphertext and polynomial frames. */
 inline constexpr uint32_t kSerializeVersion = 1;
 
-/** Format version of the seeded (compressed) frames. */
+/** Format version of the seeded evaluation-key frames. */
 inline constexpr uint32_t kSerializeVersionSeeded = 2;
 
 /** Frame type tags. */
@@ -55,10 +51,7 @@ enum class SerialTag : uint32_t
     LweCiphertext = 0x4C435431,    // "LCT1"
     GlweKey = 0x474B4559,          // "GKEY"
     TorusPoly = 0x54504C59,        // "TPLY"
-    KeySwitchKey = 0x4B534B31,     // "KSK1"
     EncryptedUint = 0x45554931,    // "EUI1"
-    BootstrapKey = 0x42534B31,     // "BSK1"
-    EvalKeys = 0x45564B31,         // "EVK1"
     SeededKeySwitchKey = 0x4B534B32, // "KSK2"
     SeededBootstrapKey = 0x42534B32, // "BSK2"
     SeededEvalKeys = 0x45564B32,     // "EVK2"
@@ -68,11 +61,11 @@ enum class SerialTag : uint32_t
 // live in common/frame.h; the enum-tag constructor overloads accept
 // SerialTag values directly, so call sites are unchanged.
 
-/** Serialization format selector for EvalKeys bundles. */
+/** EvalKeys wire format: `EVK2`, the only one. */
 enum class EvalKeysFormat
 {
-    Expanded, //!< v1 `EVK1`: full mask + body material (legacy)
-    Seeded,   //!< v2 `EVK2`: mask seeds + body components (compressed)
+    // Kept only because the frozen strixbench/ benchmark names it.
+    Seeded, //!< `EVK2`: mask seeds + body components
 };
 
 // --- writers ---------------------------------------------------------
@@ -81,21 +74,12 @@ void serialize(std::ostream &os, const LweKey &key);
 void serialize(std::ostream &os, const LweCiphertext &ct);
 void serialize(std::ostream &os, const GlweKey &key);
 void serialize(std::ostream &os, const TorusPolynomial &poly);
-void serialize(std::ostream &os, const KeySwitchKey &ksk);
 void serialize(std::ostream &os, const EncryptedUint &x);
-void serialize(std::ostream &os, const BootstrappingKey &bsk);
 /**
- * One frame bundling params + BSK + KSK: the shippable server keyset,
- * in the expanded v1 format (equivalent to EvalKeysFormat::Expanded).
+ * One `EVK2` frame bundling params + BSK2 + KSK2: the shippable
+ * server keyset, masks replaced by the bundle's seeds.
  */
 void serialize(std::ostream &os, const EvalKeys &keys);
-/**
- * Format-selecting EvalKeys writer. Seeded requires the bundle to
- * carry mask seeds (keys.seeds(), i.e. it came from the seeded keygen
- * path or an EVK2 frame); throws std::runtime_error otherwise.
- */
-void serialize(std::ostream &os, const EvalKeys &keys,
-               EvalKeysFormat format);
 
 // --- readers (throw std::runtime_error on malformed input) -----------
 TfheParams deserializeParams(std::istream &is);
@@ -103,15 +87,11 @@ LweKey deserializeLweKey(std::istream &is);
 LweCiphertext deserializeLweCiphertext(std::istream &is);
 GlweKey deserializeGlweKey(std::istream &is);
 TorusPolynomial deserializeTorusPolynomial(std::istream &is);
-KeySwitchKey deserializeKeySwitchKey(std::istream &is);
 EncryptedUint deserializeEncryptedUint(std::istream &is);
-BootstrappingKey deserializeBootstrappingKey(std::istream &is);
 /**
- * Read an EvalKeys bundle from either frame generation, auto-detected
- * from the header: `EVK1` loads the expanded material directly, and
- * `EVK2` re-expands every mask from the shipped seeds (bit-identical
- * to the bundle the seeds came from) and keeps the seeds, so the
- * result can re-serialize in either format. BSK/KSK shapes are
+ * Read an `EVK2` bundle: every mask re-expands from the shipped seeds
+ * (bit-identical to the bundle the seeds came from) and the seeds are
+ * kept, so the result re-serializes byte-exactly. BSK/KSK shapes are
  * cross-validated against the embedded parameter frame (mismatches
  * throw rather than yielding a bundle that silently evaluates
  * garbage). Returned behind shared_ptr, ready to hand to any number

@@ -3,12 +3,12 @@
 
 Asserts the behaviors the CI lint job depends on:
 
-  1. the real src/ tree passes (exit 0), including the repo-wide
-     [deprecated-context] scan over tests/, examples/ and bench/;
+  1. the real src/ tree passes (exit 0), also with the repo-wide
+     scan that adds tools/ as server-side closure roots;
   2. the committed negative fixtures fail (exit 1) with a file:line
      diagnostic -- a secret-flow violation reporting its include
-     chain, a poly -> tfhe upward include, and a test TU including
-     the deprecated tfhe/context.h facade;
+     chain, a poly -> tfhe upward include, a net -> tfhe include and
+     a tools/ TU including the secret header;
   3. a stale allowlist entry (a file that exists but no longer
      includes client_keyset.h) fails, so the allowlist cannot rot.
 
@@ -61,23 +61,11 @@ class StrixLintTest(unittest.TestCase):
         self.assertIn("poly/ may not include tfhe/", r.stdout)
 
     def test_real_tree_passes_repo_wide(self):
-        # The repo-wide scan adds tests/, examples/ and bench/ to the
-        # [deprecated-context] rule; the real tree must stay clean
-        # (only the allowlisted facade-coverage test includes the
-        # deprecated header).
+        # The repo-wide scan adds the tools/ binaries as server-side
+        # closure roots; the real tree must stay clean.
         r = run_lint("--src", "src", "--repo", ".")
         self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
         self.assertIn("OK", r.stdout)
-
-    def test_deprecated_context_include_rejected(self):
-        fixture = os.path.join(FIXTURES, "deprecated_context")
-        r = run_lint("--src", os.path.join(fixture, "src"),
-                     "--repo", fixture, "--allowlist=")
-        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
-        self.assertIn(
-            "tests/bad_context_test.cpp:3: [deprecated-context]",
-            r.stdout)
-        self.assertIn("ClientKeyset + ServerContext", r.stdout)
 
     def test_net_layering_violation_rejected(self):
         # The wire layer may only include common/: a net/ TU reaching
@@ -121,12 +109,15 @@ class StrixLintTest(unittest.TestCase):
         self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
 
     def test_stale_allowlist_entry_rejected(self):
-        # poly/fft.h exists in the real tree but does not include
-        # client_keyset.h, so allowlisting it must fail as stale.
+        # poly/complex_fft.h exists in the real tree but does not
+        # include client_keyset.h, so allowlisting it must fail as
+        # stale; the real entry beside it must not be reported.
         r = run_lint("--src", "src",
-                     "--allowlist=tfhe/context.h,poly/fft.h")
+                     "--allowlist=tfhe/integer.h,poly/complex_fft.h")
         self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
-        self.assertIn("poly/fft.h:0: [allowlist-stale]", r.stdout)
+        self.assertIn("poly/complex_fft.h:0: [allowlist-stale] "
+                      "allowlisted but no longer includes", r.stdout)
+        self.assertNotIn("tfhe/integer.h:0:", r.stdout)
 
     def test_missing_allowlist_entry_rejected(self):
         r = run_lint("--src", "src",

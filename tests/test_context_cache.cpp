@@ -317,7 +317,7 @@ externalBundle(uint64_t seed)
 {
     auto keys = ContextCache::global().getOrCreate(fastParams(), seed);
     std::ostringstream os;
-    serialize(os, *keys, EvalKeysFormat::Seeded);
+    serialize(os, *keys);
     std::istringstream is(os.str());
     return deserializeEvalKeys(is);
 }

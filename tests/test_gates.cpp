@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "support/test_util.h"
-#include "tfhe/context.h"
 #include "tfhe/gates.h"
 
 namespace strix {
@@ -149,7 +148,7 @@ TEST(Gates, TwoBitRippleAdder)
 TEST(Gates, NoisyNandAtParameterSetI)
 {
     // End-to-end with the paper's 110-bit parameters and real noise,
-    // on the split API the library recommends.
+    // on the split client/server API.
     ClientKeyset client(paramsSetI(), 321);
     ServerContext server(client.evalKeys());
     for (int a = 0; a < 2; ++a)
@@ -158,40 +157,6 @@ TEST(Gates, NoisyNandAtParameterSetI)
                                 client.encryptBit(b));
             EXPECT_EQ(client.decryptBit(out), !(a && b)) << a << b;
         }
-}
-
-// The facade is deprecated but must keep working until removal; this
-// is its one sanctioned in-tree use, covering the implicit
-// ServerContext conversion and the encrypt/decrypt delegation.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(Gates, DeprecatedTfheContextFacadeStillWorks)
-{
-    TfheContext ctx(test::fastParams(), test::kSeedGates);
-    for (int a = 0; a < 2; ++a)
-        for (int b = 0; b < 2; ++b) {
-            auto out =
-                gateNand(ctx, ctx.encryptBit(a), ctx.encryptBit(b));
-            EXPECT_EQ(ctx.decryptBit(out), !(a && b)) << a << b;
-        }
-}
-#pragma GCC diagnostic pop
-
-TEST(Gates, StatsInstrumentationAccumulates)
-{
-    const ClientKeyset &client = exactKeys().client;
-    const ServerContext &server = exactKeys().server;
-    gateStatsReset();
-    gateStatsEnable(true);
-    auto out = gateNand(server, client.encryptBit(true), client.encryptBit(false));
-    gateStatsEnable(false);
-    EXPECT_TRUE(client.decryptBit(out));
-    const GateStats &s = gateStats();
-    EXPECT_GT(s.total(), 0.0);
-    EXPECT_GT(s.fft_s, 0.0);
-    EXPECT_GT(s.keyswitch_s, 0.0);
-    // Blind rotation should dominate PBS time (paper: ~98%).
-    EXPECT_GT(s.pbsTotal(), s.keyswitch_s * 0.5);
 }
 
 } // namespace

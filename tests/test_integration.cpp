@@ -73,25 +73,6 @@ TEST(Integration, EvalKeysShipAcrossTheWire)
     EXPECT_EQ(client.decryptInt(out, space), 6);
 }
 
-TEST(Integration, KskShipsAcrossTheWire)
-{
-    // Serialize the keyswitching key, rebuild it, and run a full
-    // PBS + (deserialized) KS chain.
-    const ClientKeyset &client = exactKeys().client;
-    const ServerContext &server = exactKeys().server;
-    std::stringstream wire;
-    serialize(wire, server.ksk());
-    KeySwitchKey ksk = deserializeKeySwitchKey(wire);
-
-    const uint64_t space = 8;
-    auto ct = client.encryptInt(3, space);
-    TorusPolynomial tv = makeIntTestVector(
-        server.params().N, space, [](int64_t x) { return x * 2 % 8; });
-    auto big = programmableBootstrap(ct, tv, server.bsk());
-    auto out = keySwitch(big, ksk);
-    EXPECT_EQ(client.decryptInt(out, space), 6);
-}
-
 TEST(Integration, CircuitGraphConsistentWithFunctionalCost)
 {
     // The workload graph's PBS count must equal what the encrypted

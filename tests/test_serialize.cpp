@@ -81,25 +81,6 @@ TEST(Serialize, TorusPolynomialRoundTrip)
     EXPECT_EQ(deserializeTorusPolynomial(ss), p);
 }
 
-TEST(Serialize, KeySwitchKeyRoundTripFunctional)
-{
-    // The deserialized ksk must actually keyswitch correctly.
-    Rng rng(5);
-    TfheParams p = testParams(32, 64);
-    p.l_ksk = 12;
-    p.ks_base_bits = 2;
-    LweKey from(128, rng);
-    LweKey to(32, rng);
-    KeySwitchKey ksk = KeySwitchKey::generate(from, to, p, rng);
-
-    std::stringstream ss;
-    serialize(ss, ksk);
-    KeySwitchKey back = deserializeKeySwitchKey(ss);
-
-    auto ct = lweEncrypt(from, encodeMessage(3, 8), 0.0, rng);
-    EXPECT_EQ(lweDecrypt(to, keySwitch(ct, back), 8), 3);
-}
-
 TEST(Serialize, EncryptedUintRoundTrip)
 {
     test::TestKeys keys(testParams(32, 256, 1, 3, 8, 0.0), 99);
@@ -312,43 +293,6 @@ TEST(SerializeFuzz, EveryHeaderBitFlipThrows)
     }
 }
 
-TEST(SerializeFuzz, RandomByteFlipsNeverCrash)
-{
-    // Payload corruption may parse to a different (garbage) structure
-    // or throw std::runtime_error; anything else -- a crash, a hang,
-    // an unbounded allocation (bounded by the length-field caps in
-    // serialize.cpp), another exception type -- is a bug.
-    Rng rng(505);
-    TfheParams p = testParams(16, 64);
-    p.l_ksk = 2;
-    p.ks_base_bits = 4;
-    LweKey from(48, rng);
-    LweKey to(16, rng);
-    KeySwitchKey ksk = KeySwitchKey::generate(from, to, p, rng);
-    const std::string base = frameBytes(ksk);
-
-    for (int iter = 0; iter < 300; ++iter) {
-        std::string corrupted = base;
-        // Flip 1-4 random bytes anywhere in the frame.
-        size_t flips = 1 + rng.uniformBelow(4);
-        for (size_t f = 0; f < flips; ++f) {
-            size_t pos = rng.uniformBelow(corrupted.size());
-            corrupted[pos] = static_cast<char>(
-                corrupted[pos] ^
-                static_cast<char>(1 + rng.uniformBelow(255)));
-        }
-        std::stringstream ss(corrupted);
-        try {
-            KeySwitchKey back = deserializeKeySwitchKey(ss);
-            // Parsed (e.g. only ciphertext payload bytes flipped):
-            // the plausibility guards must still have held.
-            EXPECT_LE(back.gadget().levels, 64u);
-        } catch (const std::runtime_error &) {
-            // Rejected: fine.
-        }
-    }
-}
-
 TEST(SerializeFuzz, ImplausibleVectorLengthRejectedWithoutAllocating)
 {
     // A hostile length field (2^32 entries = 16 GiB) must be rejected
@@ -386,12 +330,64 @@ tinyEvalKeys()
     return *keys.client.evalKeys();
 }
 
+/**
+ * Bit-for-bit key-material equality: every frequency-domain BSK row
+ * double and every KSK row word of @p a equals its counterpart in
+ * @p b.
+ */
+void
+expectSameKeyMaterial(const EvalKeys &a, const EvalKeys &b)
+{
+    ASSERT_EQ(a.bsk().n(), b.bsk().n());
+    size_t bad_bsk_rows = 0;
+    for (size_t i = 0; i < a.bsk().n(); ++i) {
+        const std::vector<FreqPolynomial> &ra = a.bsk().bit(i).rawRows();
+        const std::vector<FreqPolynomial> &rb = b.bsk().bit(i).rawRows();
+        ASSERT_EQ(ra.size(), rb.size()) << "bit " << i;
+        for (size_t r = 0; r < ra.size(); ++r)
+            if (ra[r].size() != rb[r].size() ||
+                std::memcmp(ra[r].data(), rb[r].data(),
+                            ra[r].size() * sizeof(Cplx)) != 0)
+                ++bad_bsk_rows;
+    }
+    EXPECT_EQ(bad_bsk_rows, 0u) << "BSK rows differ";
+
+    const KeySwitchKey &ka = a.ksk();
+    const KeySwitchKey &kb = b.ksk();
+    ASSERT_EQ(ka.inDim(), kb.inDim());
+    ASSERT_EQ(ka.gadget().levels, kb.gadget().levels);
+    size_t bad_ksk_rows = 0;
+    for (uint32_t i = 0; i < ka.inDim(); ++i)
+        for (uint32_t j = 0; j < ka.gadget().levels; ++j)
+            if (ka.row(i, j).raw() != kb.row(i, j).raw())
+                ++bad_ksk_rows;
+    EXPECT_EQ(bad_ksk_rows, 0u) << "KSK rows differ";
+}
+
+/** Byte length of the KSK2 frame that closes the EVK2 frame of @p keys. */
+size_t
+ksk2FrameBytes(const EvalKeys &keys)
+{
+    const KeySwitchKey &ksk = keys.ksk();
+    // header + [id|len|shape: dims, gadget, seed] + [id|len|bodies]
+    return 8 + (12 + 24) +
+           (12 + 4 * size_t(ksk.inDim()) * ksk.gadget().levels);
+}
+
+/** Byte offset of the BSK2 frame inside the EVK2 frame of @p keys. */
+size_t
+bsk2FrameOffset(const EvalKeys &keys)
+{
+    // EVK2 header + nested params frame.
+    return 8 + frameBytes(keys.params()).size();
+}
+
 TEST(SerializeEvalKeys, RoundTripEvaluatesBitIdentically)
 {
     // A server standing on the deserialized bundle must produce
-    // ciphertexts bit-identical to the original context's: the
-    // frequency-domain BSK rows round-trip exactly.
-    test::TestKeys keys(testParams(32, 256, 1, 3, 8, 0.0),
+    // ciphertexts bit-identical to the original context's, here with
+    // two GLWE mask polynomials (k = 2) per row.
+    test::TestKeys keys(testParams(32, 256, 2, 3, 8, 0.0),
                         test::kSeedSerialize);
     std::stringstream wire;
     serialize(wire, *keys.client.evalKeys());
@@ -410,22 +406,6 @@ TEST(SerializeEvalKeys, RoundTripEvaluatesBitIdentically)
         EXPECT_EQ(here.raw(), there.raw()) << "m=" << m;
         EXPECT_EQ(keys.client.decryptInt(there, space), (m * m) % 8);
     }
-}
-
-TEST(SerializeEvalKeys, StandaloneBskFrameRoundTrips)
-{
-    // The BSK frame also reads standalone (no params frame to cross-
-    // check against): the rebuilt key must re-serialize byte-exactly
-    // and carry the shape fields through its synthesized params.
-    const EvalKeys &keys = tinyEvalKeys();
-    const std::string bytes = frameBytes(keys.bsk());
-    std::stringstream ss(bytes);
-    BootstrappingKey back = deserializeBootstrappingKey(ss);
-    EXPECT_EQ(back.n(), keys.bsk().n());
-    EXPECT_EQ(back.params().N, keys.params().N);
-    EXPECT_EQ(back.params().k, keys.params().k);
-    EXPECT_EQ(back.params().l_bsk, keys.params().l_bsk);
-    EXPECT_EQ(frameBytes(back), bytes);
 }
 
 TEST(SerializeEvalKeys, RandomShapeRoundTripSweep)
@@ -478,34 +458,47 @@ TEST(SerializeEvalKeys, StrictPrefixSampleThrows)
 
 TEST(SerializeEvalKeys, EveryHeaderBitFlipThrows)
 {
-    // The outer header plus the nested params header: any single-bit
-    // corruption must be rejected outright.
-    const std::string bytes = frameBytes(tinyEvalKeys());
-    ASSERT_GE(bytes.size(), 16u);
-    for (size_t bit = 0; bit < 128; ++bit) {
-        std::string corrupted = bytes;
-        corrupted[bit / 8] =
-            static_cast<char>(corrupted[bit / 8] ^ (1 << (bit % 8)));
-        std::stringstream ss(corrupted);
-        EXPECT_THROW(deserializeEvalKeys(ss), std::runtime_error)
-            << "bit " << bit;
+    // The nested BSK2 and KSK2 frame headers: any single-bit
+    // corruption of either must be rejected outright.
+    const EvalKeys &keys = tinyEvalKeys();
+    const std::string bytes = frameBytes(keys);
+    const size_t headers[] = {bsk2FrameOffset(keys),
+                              bytes.size() - ksk2FrameBytes(keys)};
+    for (size_t off : headers) {
+        ASSERT_LE(off + 8, bytes.size());
+        for (size_t bit = 0; bit < 64; ++bit) {
+            std::string corrupted = bytes;
+            corrupted[off + bit / 8] = static_cast<char>(
+                corrupted[off + bit / 8] ^ (1 << (bit % 8)));
+            std::stringstream ss(corrupted);
+            EXPECT_THROW(deserializeEvalKeys(ss), std::runtime_error)
+                << "header at " << off << ", bit " << bit;
+        }
     }
 }
 
 TEST(SerializeEvalKeys, RandomByteFlipsNeverCrash)
 {
-    // Payload corruption may parse (BSK rows are raw doubles: bit
-    // flips there change values, not structure) or throw
-    // std::runtime_error; a crash, hang, abort, or unbounded
-    // allocation is a bug. Shape-field corruption must be caught by
-    // the plausibility caps and the params cross-checks.
-    const std::string base = frameBytes(tinyEvalKeys());
+    // Flips aimed at the structure: the headers, params and BSK2
+    // shape section at the front, and the whole KSK2 frame (shape
+    // section and Torus32 bodies) at the back. Each corruption may
+    // parse or throw std::runtime_error; a crash, hang, abort, or
+    // unbounded allocation is a bug. Shape-field corruption must be
+    // caught by the plausibility caps and the params cross-checks.
+    const EvalKeys &keys = tinyEvalKeys();
+    const std::string base = frameBytes(keys);
+    // BSK2 header (8) + shape section (12 + 28).
+    const size_t head = bsk2FrameOffset(keys) + 8 + 40;
+    const size_t tail = ksk2FrameBytes(keys);
+    ASSERT_LT(head + tail, base.size());
     Rng rng(808);
-    for (int iter = 0; iter < 60; ++iter) {
+    for (int iter = 0; iter < 300; ++iter) {
         std::string corrupted = base;
         size_t flips = 1 + rng.uniformBelow(4);
         for (size_t f = 0; f < flips; ++f) {
-            size_t pos = rng.uniformBelow(corrupted.size());
+            size_t pos = rng.uniformBelow(head + tail);
+            if (pos >= head)
+                pos += base.size() - head - tail;
             corrupted[pos] = static_cast<char>(
                 corrupted[pos] ^
                 static_cast<char>(1 + rng.uniformBelow(255)));
@@ -525,40 +518,47 @@ TEST(SerializeEvalKeys, RandomByteFlipsNeverCrash)
 
 TEST(SerializeEvalKeys, MismatchedKskIsRejected)
 {
-    // Splice the KSK of a *different* keyset shape into an otherwise
-    // valid bundle: the params cross-check must refuse to assemble a
-    // bundle that would silently evaluate garbage.
+    // Splice the KSK2 frame of a *different* keyset shape into an
+    // otherwise valid EVK2 frame: the params cross-check must refuse
+    // to assemble a bundle that would silently evaluate garbage.
     test::TestKeys keys(testParams(16, 64, 1, 2, 8, 0.0), 11);
     test::TestKeys other(testParams(24, 128, 1, 2, 8, 0.0), 12);
+    const EvalKeys &mine = *keys.client.evalKeys();
+    const EvalKeys &theirs = *other.client.evalKeys();
 
-    std::stringstream spliced;
-    // Hand-assemble the frame: outer header + params + bsk come from
-    // `keys`, the ksk from `other`.
-    serialize(spliced, *keys.client.evalKeys());
-    std::string bytes = spliced.str();
-    std::string good_ksk = frameBytes(keys.client.evalKeys()->ksk());
-    std::string bad_ksk = frameBytes(other.client.evalKeys()->ksk());
-    ASSERT_GT(bytes.size(), good_ksk.size());
-    bytes.resize(bytes.size() - good_ksk.size());
+    // Outer header + params + BSK2 come from `keys`, KSK2 from `other`.
+    std::string bytes = frameBytes(mine);
+    const std::string donor = frameBytes(theirs);
+    ASSERT_GT(bytes.size(), ksk2FrameBytes(mine));
+    ASSERT_GT(donor.size(), ksk2FrameBytes(theirs));
+    bytes.resize(bytes.size() - ksk2FrameBytes(mine));
+    const std::string bad_ksk =
+        donor.substr(donor.size() - ksk2FrameBytes(theirs));
+    ASSERT_EQ(bad_ksk.substr(0, 4), "2KSK") << "KSK2 tag, little-endian";
     bytes += bad_ksk;
 
     std::stringstream ss(bytes);
     EXPECT_THROW(deserializeEvalKeys(ss), std::runtime_error);
 }
 
+TEST(SerializeEvalKeys, RetiredExpandedFrameIsRejected)
+{
+    // The expanded v1 generation (tag "EVK1", version 1, then params
+    // and full BSK/KSK rows) is no longer a wire format: its header
+    // alone must be refused like any unknown frame.
+    std::stringstream ss;
+    {
+        FrameWriter fw(ss, 0x45564B31u /* "EVK1" */, 1);
+    }
+    serialize(ss, tinyEvalKeys().params());
+    ss << std::string(64, '\0');
+    EXPECT_THROW(deserializeEvalKeys(ss), std::runtime_error);
+}
+
 // ---------------------------------------------------------------------------
 // Seeded (EVK2) frames: compressed bundles must round-trip to
-// bit-identical keys, re-serialize byte-exactly, beat the expanded
-// frame on size, and reject the same hostile inputs as EVK1.
-
-/** The tiny bundle's bytes in the seeded v2 format. */
-std::string
-seededBytes(const EvalKeys &keys)
-{
-    std::stringstream ss;
-    serialize(ss, keys, EvalKeysFormat::Seeded);
-    return ss.str();
-}
+// bit-identical keys, re-serialize byte-exactly, stay well under the
+// resident key size, and reject hostile input.
 
 TEST(SerializeEvk2, FunctionalRoundTrip)
 {
@@ -567,7 +567,7 @@ TEST(SerializeEvk2, FunctionalRoundTrip)
     test::TestKeys keys(testParams(32, 256, 1, 3, 8, 0.0),
                         test::kSeedSerialize);
     std::stringstream wire;
-    serialize(wire, *keys.client.evalKeys(), EvalKeysFormat::Seeded);
+    serialize(wire, *keys.client.evalKeys());
 
     std::shared_ptr<const EvalKeys> shipped = deserializeEvalKeys(wire);
     ASSERT_NE(shipped, nullptr);
@@ -586,33 +586,33 @@ TEST(SerializeEvk2, FunctionalRoundTrip)
 
 TEST(SerializeEvk2, RebuiltBundleIsBitIdenticalToOriginal)
 {
-    // The EVK1 frame carries every FFT-domain BSK row and every KSK
-    // entry verbatim, so EVK1(rebuilt) == EVK1(original) pins the
-    // rebuilt bundle bit-identical across the whole key material --
-    // and doubles as the cross-version compatibility check.
+    // Re-expanded masks plus shipped bodies must reproduce every
+    // FFT-domain BSK row and every KSK entry of the original bit for
+    // bit, not merely decrypt the same.
     const EvalKeys &orig = tinyEvalKeys();
-    std::stringstream wire(seededBytes(orig));
+    std::stringstream wire(frameBytes(orig));
     std::shared_ptr<const EvalKeys> rebuilt = deserializeEvalKeys(wire);
     ASSERT_NE(rebuilt, nullptr);
-    EXPECT_EQ(frameBytes(*rebuilt), frameBytes(orig));
+    expectSameKeyMaterial(*rebuilt, orig);
 }
 
 TEST(SerializeEvk2, ReserializeIsByteExact)
 {
     // v2 -> bundle -> v2 must reproduce the frame byte-for-byte (the
     // rebuilt bundle keeps its mask seeds).
-    const std::string bytes = seededBytes(tinyEvalKeys());
+    const std::string bytes = frameBytes(tinyEvalKeys());
     std::stringstream ss(bytes);
     std::shared_ptr<const EvalKeys> back = deserializeEvalKeys(ss);
     ASSERT_NE(back, nullptr);
-    ASSERT_TRUE(back->seeds().has_value());
-    EXPECT_EQ(seededBytes(*back), bytes);
+    EXPECT_EQ(back->seeds().bsk_mask, tinyEvalKeys().seeds().bsk_mask);
+    EXPECT_EQ(back->seeds().ksk_mask, tinyEvalKeys().seeds().ksk_mask);
+    EXPECT_EQ(frameBytes(*back), bytes);
 }
 
 TEST(SerializeEvk2, RandomShapeRoundTripSweep)
 {
-    // Byte-exact v2 re-serialization and EVK1 bit-identity across
-    // random small key shapes.
+    // Byte-exact re-serialization and bit-identical key material
+    // across random small key shapes.
     Rng rng(909);
     for (int iter = 0; iter < 4; ++iter) {
         uint32_t n = 4 + uint32_t(rng.uniformBelow(12));
@@ -622,53 +622,37 @@ TEST(SerializeEvk2, RandomShapeRoundTripSweep)
         ClientKeyset client(testParams(n, big_n, k, l, 8, 0.0),
                             2000 + uint64_t(iter));
 
-        const std::string bytes = seededBytes(*client.evalKeys());
+        const std::string bytes = frameBytes(*client.evalKeys());
         std::stringstream ss(bytes);
         std::shared_ptr<const EvalKeys> back = deserializeEvalKeys(ss);
         ASSERT_NE(back, nullptr);
-        EXPECT_EQ(seededBytes(*back), bytes)
+        EXPECT_EQ(frameBytes(*back), bytes)
             << "n=" << n << " N=" << big_n << " k=" << k << " l=" << l;
-        EXPECT_EQ(frameBytes(*back), frameBytes(*client.evalKeys()))
-            << "n=" << n << " N=" << big_n << " k=" << k << " l=" << l;
+        SCOPED_TRACE(testing::Message() << "n=" << n << " N=" << big_n
+                                        << " k=" << k << " l=" << l);
+        expectSameKeyMaterial(*back, *client.evalKeys());
     }
 }
 
 TEST(SerializeEvk2, CompressesWellUnderTheExpandedFrame)
 {
-    // The acceptance bar is <= 55% of EVK1; the seeded frame drops all
-    // mask material (~1/(k+1) of the BSK, ~1/(n+1) of the KSK), which
-    // lands well under that even at tiny shapes.
+    // The bar is <= 55% of the resident (expanded) key bytes; the
+    // seeded frame drops all mask material (~1/(k+1) of the BSK,
+    // ~1/(n+1) of the KSK), which lands well under that even at tiny
+    // shapes.
     const EvalKeys &keys = tinyEvalKeys();
-    const size_t v1 = frameBytes(keys).size();
-    const size_t v2 = seededBytes(keys).size();
-    EXPECT_LE(double(v2), 0.55 * double(v1))
-        << "v1=" << v1 << " v2=" << v2;
-}
-
-TEST(SerializeEvk2, ExpandedOnlyBundleRefusesSeededFormat)
-{
-    // A bundle loaded from an EVK1 frame carries no mask seeds, so it
-    // can only re-serialize expanded; asking for Seeded must throw
-    // rather than invent seeds.
-    std::stringstream wire(frameBytes(tinyEvalKeys()));
-    std::shared_ptr<const EvalKeys> back = deserializeEvalKeys(wire);
-    ASSERT_NE(back, nullptr);
-    EXPECT_FALSE(back->seeds().has_value());
-    std::stringstream out;
-    EXPECT_THROW(serialize(out, *back, EvalKeysFormat::Seeded),
-                 std::runtime_error);
-    // Expanded still works and matches the original frame.
-    std::stringstream out1;
-    serialize(out1, *back, EvalKeysFormat::Expanded);
-    EXPECT_EQ(out1.str(), frameBytes(tinyEvalKeys()));
+    const uint64_t resident = keys.residentBytes();
+    const size_t wire = frameBytes(keys).size();
+    EXPECT_LE(double(wire), 0.55 * double(resident))
+        << "resident=" << resident << " evk2=" << wire;
 }
 
 TEST(SerializeEvk2, StrictPrefixSampleThrows)
 {
-    // Same sampling strategy as the EVK1 sweep: dense over the header
-    // and shape sections, strided + random over the bodies, and the
-    // final bytes.
-    const std::string bytes = seededBytes(tinyEvalKeys());
+    // Same sampling strategy as the sweep above, at a finer stride:
+    // dense over the header and shape sections, strided + random over
+    // the bodies, and the final bytes.
+    const std::string bytes = frameBytes(tinyEvalKeys());
     ASSERT_GT(bytes.size(), 512u);
 
     std::vector<size_t> cuts;
@@ -691,10 +675,9 @@ TEST(SerializeEvk2, StrictPrefixSampleThrows)
 
 TEST(SerializeEvk2, EveryHeaderBitFlipThrows)
 {
-    // Outer EVK2 header plus the nested params header. Note the EVK1
-    // and EVK2 tags differ in two bits, so no single flip can silently
-    // cross frame generations.
-    const std::string bytes = seededBytes(tinyEvalKeys());
+    // Outer EVK2 header plus the nested params header: any single-bit
+    // corruption must be rejected outright.
+    const std::string bytes = frameBytes(tinyEvalKeys());
     ASSERT_GE(bytes.size(), 16u);
     for (size_t bit = 0; bit < 128; ++bit) {
         std::string corrupted = bytes;
@@ -713,10 +696,9 @@ TEST(SerializeEvk2, TamperedSectionLengthThrows)
     // short, long, or hostile-huge -- must be rejected by the section
     // bounds checks, never trusted for allocation.
     const EvalKeys &keys = tinyEvalKeys();
-    const std::string bytes = seededBytes(keys);
-    const size_t params_len = frameBytes(keys.params()).size();
-    // outer header (8) + params frame + BSK2 header (8) + section id.
-    const size_t len_off = 8 + params_len + 8 + 4;
+    const std::string bytes = frameBytes(keys);
+    // BSK2 header (8) + section id (4).
+    const size_t len_off = bsk2FrameOffset(keys) + 8 + 4;
     ASSERT_LE(len_off + 8, bytes.size());
 
     for (uint64_t bad : {uint64_t{0}, uint64_t{27}, uint64_t{29},
@@ -734,7 +716,7 @@ TEST(SerializeEvk2, RandomByteFlipsNeverCrash)
     // Body corruption may parse (freq-domain doubles / raw Torus32
     // bodies: flips change values, not structure) or throw
     // std::runtime_error; anything else is a bug.
-    const std::string base = seededBytes(tinyEvalKeys());
+    const std::string base = frameBytes(tinyEvalKeys());
     Rng rng(1111);
     for (int iter = 0; iter < 60; ++iter) {
         std::string corrupted = base;
@@ -776,51 +758,59 @@ readF64Le(const unsigned char *in)
 TEST(SerializeWireOrder, StagedRowsAreNaturalOrderSpectra)
 {
     // Pin the byte order against first principles: wire point t of a
-    // staged row is A_{2t} of the folded, twisted polynomial,
+    // staged BSK2 body row is A_{2t} of the folded, twisted body
+    // polynomial,
     //   sum_{j<N/2} (a_j + i*a_{j+N/2}) e^{i*pi*j/N} e^{2*pi*i*j*t/(N/2)},
     // evaluated directly in O(N^2) from the GGSW's torus polynomials
     // (centered lift), with no FFT in the reference.
     const uint32_t big_n = 64;
     TfheParams p = testParams(1, big_n, 1, 2, 8, 1e-4);
     Rng rng(17);
+    LweKey lwe_key(p.n, rng);
     GlweKey key(p.k, big_n, rng);
     const GadgetParams g{p.bg_bits, p.l_bsk};
-    const GgswCiphertext ggsw = ggswEncrypt(key, 1, g, p.glwe_noise, rng);
+    const EvalKeySeeds seeds{rng.next64(), rng.next64()};
+    // Bit 0 of a seeded BSK: its rows fork stream ids from 0.
+    const GgswCiphertext ggsw = ggswEncryptSeeded(
+        key, lwe_key.bit(0), g, p.glwe_noise, Rng(seeds.bsk_mask), 0, rng);
     std::vector<GgswFft> bits;
     bits.emplace_back(ggsw);
-    const BootstrappingKey bsk = BootstrappingKey::fromBits(p, std::move(bits));
+    const EvalKeys keys(
+        p, BootstrappingKey::fromBits(p, std::move(bits)),
+        KeySwitchKey::generateSeeded(key.extractedLweKey(), lwe_key, p,
+                                     seeds.ksk_mask, rng),
+        seeds);
 
-    std::stringstream ss;
-    serialize(ss, bsk);
-    const std::string frame = ss.str();
+    const std::string frame = frameBytes(keys);
     const size_t half_n = big_n / 2;
-    const size_t nrows = size_t(ggsw.rows()) * (p.k + 1);
-    ASSERT_GE(frame.size(), nrows * half_n * 16);
-    // Rows close the frame, row-major over (GLWE row, column).
+    // BSK2 header (8), shape section (12 + 28), body section id + len.
+    const size_t body_len_off = bsk2FrameOffset(keys) + 8 + 40 + 4;
+    ASSERT_LE(body_len_off + 8 + ggsw.rows() * half_n * 16, frame.size());
+    uint64_t body_len;
+    std::memcpy(&body_len, frame.data() + body_len_off, sizeof(body_len));
+    ASSERT_EQ(body_len, ggsw.rows() * half_n * 16);
+    // One body polynomial (column k) per GLWE row, row-major.
     const auto *rows = reinterpret_cast<const unsigned char *>(
-        frame.data() + frame.size() - nrows * half_n * 16);
+        frame.data() + body_len_off + 8);
 
     for (size_t r = 0; r < ggsw.rows(); ++r) {
-        for (uint32_t c = 0; c <= p.k; ++c) {
-            const TorusPolynomial &poly = ggsw.row(r).poly(c);
-            const unsigned char *row =
-                rows + (r * (p.k + 1) + c) * half_n * 16;
-            for (size_t t = 0; t < half_n; ++t) {
-                Cplx want(0, 0);
-                for (size_t j = 0; j < half_n; ++j) {
-                    const Cplx u(static_cast<int32_t>(poly[j]),
-                                 static_cast<int32_t>(poly[j + half_n]));
-                    const double ang =
-                        M_PI * double(j) / double(big_n) +
-                        2.0 * M_PI * double(j * t) / double(half_n);
-                    want += u * Cplx(std::cos(ang), std::sin(ang));
-                }
-                const double tol = 1e-9 * 0x1p31 * double(half_n);
-                EXPECT_NEAR(readF64Le(row + t * 16), want.real(), tol)
-                    << "row " << r << " col " << c << " point " << t;
-                EXPECT_NEAR(readF64Le(row + t * 16 + 8), want.imag(), tol)
-                    << "row " << r << " col " << c << " point " << t;
+        const TorusPolynomial &poly = ggsw.row(r).poly(p.k);
+        const unsigned char *row = rows + r * half_n * 16;
+        for (size_t t = 0; t < half_n; ++t) {
+            Cplx want(0, 0);
+            for (size_t j = 0; j < half_n; ++j) {
+                const Cplx u(static_cast<int32_t>(poly[j]),
+                             static_cast<int32_t>(poly[j + half_n]));
+                const double ang =
+                    M_PI * double(j) / double(big_n) +
+                    2.0 * M_PI * double(j * t) / double(half_n);
+                want += u * Cplx(std::cos(ang), std::sin(ang));
             }
+            const double tol = 1e-9 * 0x1p31 * double(half_n);
+            EXPECT_NEAR(readF64Le(row + t * 16), want.real(), tol)
+                << "row " << r << " point " << t;
+            EXPECT_NEAR(readF64Le(row + t * 16 + 8), want.imag(), tol)
+                << "row " << r << " point " << t;
         }
     }
 }
@@ -852,7 +842,7 @@ TEST(SerializeWireOrder, RadixTwoBuildEvk2FixtureLoadsAndBootstraps)
     // Staging is a pure permutation: the loaded bodies re-serialize to
     // the very bytes the older build wrote.
     std::stringstream again;
-    serialize(again, *loaded, EvalKeysFormat::Seeded);
+    serialize(again, *loaded);
     EXPECT_EQ(again.str(), fixture);
 
     // The fixture's natural-order bodies land in this build's

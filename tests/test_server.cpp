@@ -473,6 +473,22 @@ TEST(ServerHostile, BitFlippedKeyUploadRejected)
     EXPECT_TRUE(h.client.ping());
 }
 
+TEST(ServerHostile, RetiredExpandedKeyUploadRejected)
+{
+    // A RegisterTenant payload in the retired expanded generation
+    // (tag "EVK1", version 1) is an unknown frame like any other.
+    Harness h;
+    auto keyset = keysetFor(501);
+    std::vector<uint8_t> payload = keysPayload(*keyset);
+    const uint8_t v1_header[8] = {'1', 'K', 'V', 'E', 1, 0, 0, 0};
+    std::memcpy(payload.data(), v1_header, sizeof(v1_header));
+    StrixClient::Reply r =
+        h.client.call(MsgType::RegisterTenant, 9, payload);
+    ASSERT_FALSE(r.ok);
+    EXPECT_EQ(r.error, WireError::BadPayload);
+    EXPECT_TRUE(h.client.ping());
+}
+
 TEST(ServerHostile, OversizedComputePayloadRejected)
 {
     StrixServer::Options opts;

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Architecture linter: layering DAG + secret-isolation rule.
 
-Three invariants are enforced over the include graph of src/ (and,
-with --repo, the tests/, examples/ and bench/ trees):
+Two invariants are enforced over the include graph of src/ (and,
+with --repo, the tools/ tree):
 
 1. Layering. The libraries form a strict DAG (see src/CMakeLists.txt):
 
@@ -28,12 +28,6 @@ with --repo, the tests/, examples/ and bench/ trees):
    listed in an explicit allowlist; the allowlist itself is checked
    for freshness (an entry that no longer includes client_keyset.h is
    stale and fails the run, so the list cannot rot into fiction).
-
-3. Facade deprecation. `tfhe/context.h` is the deprecated combined
-   client+server facade; the split types replaced it. No TU anywhere
-   in the repo may include it except the allowlisted facade-coverage
-   test (tests/test_gates.cpp keeps the deprecated surface compiling
-   until removal). Scanning the non-src trees requires --repo.
 
 Optionally cross-checks TU coverage against a compile_commands.json:
 a compiled source under src/ the linter did not scan is an error (the
@@ -74,24 +68,10 @@ SECRET_OWNERS = {"tfhe/client_keyset.h", "tfhe/client_keyset.cpp"}
 # detection, and rule [allowlist-stale] fails the run if an entry
 # stops including the secret header.
 DEFAULT_ALLOWLIST = [
-    "tfhe/context.h",        # legacy combined client+server facade
     "tfhe/context_cache.h",  # keygen-amortizing cache (key-owning side)
     "tfhe/integer.h",        # client-side integer encrypt/decrypt API
     "workloads/circuit_client.h",  # encrypt-eval-decrypt wrapper
 ]
-
-# The deprecated combined facade and the one TU allowed to keep
-# including it: the facade-coverage test that proves the deprecated
-# surface still compiles and behaves until its removal. The facade
-# header itself (it lives in the scanned src tree) is exempt too.
-DEPRECATED_HEADER = "tfhe/context.h"
-DEPRECATED_ALLOWLIST = {
-    "tfhe/context.h",         # the facade's own header
-    "tests/test_gates.cpp",   # facade-coverage test (pragma-suppressed)
-}
-
-# Repo-root trees scanned (in addition to --src) when --repo is given.
-REPO_TREES = ["tests", "examples", "bench"]
 
 # Server-side roots: the pure-evaluation surface. Their transitive
 # include closure is the "server side" for rules [secret-include] and
@@ -284,40 +264,6 @@ def check_secret_isolation(files, allowlist):
     return violations
 
 
-def check_deprecated_context(files):
-    """Rule [deprecated-context] over src + (optionally) repo trees.
-
-    @p files maps scan-relative paths (src files keep their src-
-    relative names, repo files are prefixed tests/, examples/,
-    bench/) to their include lists.
-    """
-    violations = []
-    for rel in sorted(files):
-        if rel in DEPRECATED_ALLOWLIST:
-            continue
-        for line_no, inc in files[rel]["includes"]:
-            if inc == DEPRECATED_HEADER:
-                violations.append(
-                    f"{rel}:{line_no}: [deprecated-context] includes "
-                    f"{DEPRECATED_HEADER} (deprecated combined "
-                    f"facade); use ClientKeyset + ServerContext (see "
-                    f"README migration table)"
-                )
-    # Freshness, mirroring [allowlist-stale]: the facade-coverage
-    # test earns its exemption by still including the header.
-    for entry in sorted(DEPRECATED_ALLOWLIST - {DEPRECATED_HEADER}):
-        if entry not in files:
-            continue  # tree not scanned this run
-        direct = {inc for _, inc in files[entry]["includes"]}
-        if DEPRECATED_HEADER not in direct:
-            violations.append(
-                f"{entry}:0: [deprecated-context] allowlisted but no "
-                f"longer includes {DEPRECATED_HEADER}; remove it from "
-                f"DEPRECATED_ALLOWLIST"
-            )
-    return violations
-
-
 def check_compile_commands(files, cc_path, src_root):
     """Cross-check TU coverage. Returns (violations, warnings)."""
     try:
@@ -356,9 +302,8 @@ def main():
     ap.add_argument("--src", default="src",
                     help="source root to scan (default: src)")
     ap.add_argument("--repo", default=None,
-                    help="repo root; additionally scans its tests/, "
-                         "examples/ and bench/ trees for the "
-                         "[deprecated-context] rule")
+                    help="repo root; additionally scans its tools/ "
+                         "tree as server-side closure roots")
     ap.add_argument("--compile-commands", default=None,
                     help="compile_commands.json for TU coverage check")
     ap.add_argument("--allowlist", default=None,
@@ -390,22 +335,6 @@ def main():
                 files[f"tools/{rel}"] = info
     violations = check_layering(files)
     violations += check_secret_isolation(files, allowlist)
-
-    # [deprecated-context] spans src and, with --repo, the non-src
-    # TU trees; those extra trees deliberately stay out of the
-    # layering/secret checks (tests may hold secret keys).
-    all_files = dict(files)
-    if args.repo:
-        for tree in REPO_TREES:
-            tree_root = os.path.join(args.repo, tree)
-            if not os.path.isdir(tree_root):
-                continue
-            for rel, info in scan_tree(tree_root).items():
-                # Lint fixtures are linter *inputs*, not TUs.
-                if tree == "tests" and rel.startswith("lint/fixtures/"):
-                    continue
-                all_files[f"{tree}/{rel}"] = info
-    violations += check_deprecated_context(all_files)
     if args.compile_commands:
         cc_violations, warnings = check_compile_commands(
             src_files, args.compile_commands, args.src)
