@@ -10,8 +10,10 @@
  *   BR iteration:    FFT > vector mult > accum+IFFT > decomp > rotate
  *
  * Every number times a production call on one thread: the calls one
- * blind-rotation iteration (GgswFft::cmuxRotate) is made of, then the
- * larger steps (cmuxRotate, blindRotate, sampleExtract, keySwitch,
+ * blind-rotation iteration (GgswFft::cmuxRotate) is made of -- among
+ * them the one vmaBlocked call per iteration that multiplies every
+ * digit spectrum against the GGSW -- then the larger steps
+ * (cmuxRotate, blindRotate, sampleExtract, keySwitchBatch,
  * ServerContext::bootstrap, one NAND gate). Each phase is scaled by
  * its count per PBS, and the sum of the parts is set against the
  * measured whole: the gap is what the parts leave out (loop and
@@ -84,6 +86,7 @@ main()
     const size_t cols = size_t(p.k) + 1;
     const size_t digit_rows = cols * g.levels;
     const size_t half_n = size_t(p.N) / 2;
+    const size_t stride = bsk.bit(0).stride();
     Rng rng(7);
 
     // Inputs shaped like the ones a gate's blind rotation sees.
@@ -100,9 +103,17 @@ main()
         for (uint32_t j = 0; j < p.N; ++j)
             acc.poly(c)[j] = rng.uniformTorus32();
     std::vector<int32_t> coeffs(digit_rows * p.N);
-    std::vector<Cplx> fdigit(half_n);
-    std::vector<std::vector<Cplx>> facc(cols,
-                                        std::vector<Cplx>(half_n));
+    // One slot of the production scratch layout: digit_rows spectra
+    // in, cols product columns out, `stride` points apart.
+    std::vector<Cplx> spectra(digit_rows * stride);
+    std::vector<Cplx> columns(cols * stride);
+    // Every bit's frequency rows, as the VMA call takes them.
+    const size_t per_bit = digit_rows * cols;
+    std::vector<const Cplx *> key_rows;
+    key_rows.reserve(size_t(p.n) * per_bit);
+    for (uint32_t i = 0; i < p.n; ++i)
+        for (const FreqPolynomial &row : bsk.bit(i).rawRows())
+            key_rows.push_back(row.data());
     TorusPolynomial prod(p.N);
     PbsScratch scratch;
 
@@ -132,26 +143,22 @@ main()
                                     diff.poly(c), g);
         });
         forward.time(200, [&](long i) {
-            eng.forward(fdigit.data(),
-                        coeffs.data() + (size_t(i) % digit_rows) * p.N,
-                        kernels);
+            const size_t r = size_t(i) % digit_rows;
+            eng.forward(spectra.data() + r * stride,
+                        coeffs.data() + r * p.N, kernels);
         });
-        // Stream the key's rows as the iterations do: call i reads row
-        // (r, c) of bit i / rows-per-bit, never one cache-hot row.
-        for (std::vector<Cplx> &col : facc)
-            col.assign(half_n, Cplx(0, 0));
-        mac.time(400, [&](long i) {
-            const size_t per_bit = digit_rows * cols;
-            const size_t slot = size_t(i) % per_bit;
-            const GgswFft &bit = bsk.bit((size_t(i) / per_bit) % p.n);
-            kernels.mulAccumulate(facc[slot % cols].data(), fdigit.data(),
-                                  bit.row(slot / cols, slot % cols).data(),
-                                  half_n);
+        // The VMA call of one iteration, streaming the key as the
+        // iterations do: call i reads every row of bit i, never one
+        // cache-hot GGSW.
+        mac.time(100, [&](long i) {
+            kernels.vmaBlocked(columns.data(), spectra.data(),
+                               key_rows.data() + (size_t(i) % p.n) * per_bit,
+                               digit_rows, cols, 1, half_n, stride);
         });
         // The inverse clobbers its input column, as in production.
         inverse.time(100, [&](long i) {
             const size_t c = size_t(i) % cols;
-            eng.inverse(prod, facc[c].data(), kernels);
+            eng.inverse(prod, columns.data() + c * stride, kernels);
             acc.poly(c).addAssign(prod);
         });
         cmux.time(60, [&](long i) {
@@ -162,7 +169,9 @@ main()
             blindRotate(brot, lin, bsk, scratch);
         });
         extract.time(60, [&](long) { big = sampleExtract(brot, 0); });
-        keyswitch.time(2, [&](long) { out = keySwitch(big, ksk); });
+        keyswitch.time(2, [&](long) {
+            keySwitchBatch(&out, &big, 1, ksk);
+        });
         pbs_ks.time(2, [&](long) { out = server.bootstrap(lin, tv); });
         gate.time(2, [&](long) { out = gateNand(server, a, b); });
     }
@@ -177,8 +186,7 @@ main()
     const double t_rotate = rotate.perCall() * double(cols) * n_it;
     const double t_decomp = decompose.perCall() * double(cols) * n_it;
     const double t_fft = forward.perCall() * double(digit_rows) * n_it;
-    const double t_mac =
-        mac.perCall() * double(digit_rows * cols) * n_it;
+    const double t_mac = mac.perCall() * n_it;
     const double t_ifft = inverse.perCall() * double(cols) * n_it;
     const double iter_parts = t_rotate + t_decomp + t_fft + t_mac + t_ifft;
     const double t_cmux = cmux.perCall() * n_it;
@@ -194,7 +202,7 @@ main()
     gate_t.row({"PBS (blindRotate + sampleExtract)",
                 TextTable::num(t_pbs * 1e3, 2), pct(t_pbs, t_gate),
                 "~65"});
-    gate_t.row({"Keyswitch (keySwitch)", TextTable::num(t_ks * 1e3, 2),
+    gate_t.row({"Keyswitch (keySwitchBatch x1)", TextTable::num(t_ks * 1e3, 2),
                 pct(t_ks, t_gate), "~30"});
     gate_t.row({"Other (gate - PBS - KS)",
                 TextTable::num((t_gate - t_pbs - t_ks) * 1e3, 2),
@@ -220,7 +228,7 @@ main()
                     pct(per_pbs, iter_parts)});
     };
     iterRow("FFT (forward)", forward, digit_rows, t_fft);
-    iterRow("Vector mult (mulAccumulate)", mac, digit_rows * cols, t_mac);
+    iterRow("Vector mult (vmaBlocked)", mac, 1, t_mac);
     iterRow("IFFT + accumulate", inverse, cols, t_ifft);
     iterRow("Decomposition", decompose, cols, t_decomp);
     iterRow("Rotate (negacyclicRotateMinusOne)", rotate, cols, t_rotate);

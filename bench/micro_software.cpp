@@ -155,8 +155,8 @@ BENCHMARK(BM_GadgetDecomposePoly)->Arg(1024)->Arg(16384);
 
 /**
  * One set-I-shaped external product (N=1024, k=1, l=2, Bg=2^10) with a
- * persistent scratch: decompose, (k+1)*l forward FFTs streamed into
- * the multiply-accumulate, k+1 in-place inverse FFTs.
+ * persistent scratch: decompose, (k+1)*l forward FFTs, one vmaBlocked
+ * call, k+1 in-place inverse FFTs.
  */
 void
 BM_ExternalProductFft(benchmark::State &state)
@@ -176,6 +176,37 @@ BM_ExternalProductFft(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ExternalProductFft);
+
+/**
+ * The batched external product blind rotation runs: one
+ * GgswFft::cmuxRotateBatch over `width` set-I-shaped accumulators
+ * (rotate, decompose and forward-transform each, one VMA pass of the
+ * GGSW over all of them, inverse and accumulate). Items are
+ * ciphertexts, so time per item compares with BM_ExternalProductFft.
+ */
+void
+BM_ExternalProductFftBatch(benchmark::State &state)
+{
+    const size_t width = size_t(state.range(0));
+    Rng rng(6);
+    const uint32_t n = 1024, k = 1;
+    GlweKey key(k, n, rng);
+    GadgetParams g{10, 2};
+    GgswFft ggsw(ggswEncrypt(key, 1, g, 0.0, rng));
+    std::vector<GlweCiphertext> accs;
+    std::vector<uint32_t> powers;
+    for (size_t i = 0; i < width; ++i) {
+        accs.push_back(glweEncrypt(key, TorusPolynomial(n), 0.0, rng));
+        powers.push_back(uint32_t(1 + 97 * i));
+    }
+    PbsScratch scratch;
+    for (auto _ : state) {
+        ggsw.cmuxRotateBatch(accs.data(), powers.data(), width, scratch);
+        benchmark::DoNotOptimize(accs.data());
+    }
+    state.SetItemsProcessed(state.iterations() * int64_t(width));
+}
+BENCHMARK(BM_ExternalProductFftBatch)->Arg(4);
 
 void
 BM_ProgrammableBootstrap(benchmark::State &state)
@@ -207,6 +238,33 @@ BM_KeySwitch(benchmark::State &state)
     }
 }
 BENCHMARK(BM_KeySwitch)->Unit(benchmark::kMillisecond);
+
+/**
+ * keySwitchBatch over a chunk of `width` set-I PBS outputs, the call
+ * bootstrapBatch makes once per chunk: each KSK row serves the whole
+ * chunk before the next is read. Items are ciphertexts, so time per
+ * item compares with BM_KeySwitch.
+ */
+void
+BM_KeySwitchBatch(benchmark::State &state)
+{
+    auto &keys = keysI();
+    const size_t width = size_t(state.range(0));
+    TorusPolynomial tv = makeIntTestVector(keys.server.params().N, 4,
+                                           [](int64_t x) { return x; });
+    std::vector<LweCiphertext> big;
+    for (size_t i = 0; i < width; ++i)
+        big.push_back(programmableBootstrap(
+            keys.client.encryptInt(int64_t(i % 4), 4), tv,
+            keys.server.bsk()));
+    std::vector<LweCiphertext> out(width);
+    for (auto _ : state) {
+        keySwitchBatch(out.data(), big.data(), width, keys.server.ksk());
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.SetItemsProcessed(state.iterations() * int64_t(width));
+}
+BENCHMARK(BM_KeySwitchBatch)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void
 BM_GateNand(benchmark::State &state)

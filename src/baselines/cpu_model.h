@@ -2,12 +2,13 @@
  * @file
  * Concrete-like CPU baseline model.
  *
- * Two modes:
- *  - analytic: per-PBS latency anchored at the published Concrete
- *    numbers (Table V) and scaled with n (blind-rotation iterations)
- *    and N*log2(N) (FFT cost) for unlisted parameter sets;
- *  - measured: runs our own software TFHE and reports real wall time
- *    (used by the Fig. 1 workload-breakdown bench).
+ * Analytic only: per-PBS latency anchored at the published Concrete
+ * numbers (Table V) and scaled with n (blind-rotation iterations) and
+ * N*log2(N) (FFT cost) for unlisted parameter sets. The measured
+ * counterpart is not part of this class: bench/cpu_measured times
+ * this repository's own software TFHE (single-thread PBS latency and
+ * batched throughput), and bench/fig1_breakdown splits one measured
+ * gate into its phases.
  *
  * Workload runs model a multi-socket Xeon with `threads` independent
  * workers, each bootstrapping one LWE at a time (no packing -- the

@@ -2,19 +2,23 @@
  * @file
  * Runtime-dispatched kernel tables for the hot transform loops.
  *
- * Every cycle of a software PBS is spent in four loops: the FFT
+ * Every cycle of a software PBS+KS is spent in five loops: the FFT
  * butterfly stages, the fold+twist feeding the negacyclic transform,
- * the untwist+round leaving it, and the frequency-domain
- * multiply-accumulate of the external product. This header exposes
+ * the untwist+round leaving it, the frequency-domain
+ * multiply-accumulate of the external product (vmaBlocked, one call
+ * per GGSW per chunk of ciphertexts), and the keyswitch's integer row
+ * update (subScaledRow, one call per KSK row per chunk). This header exposes
  * those loops as a table of C function pointers so that one CPUID
  * check at startup -- not an #ifdef at build time -- decides whether
  * the AVX2+FMA implementations or the portable scalar reference runs.
  *
  * Dispatch contract:
  *  - scalarKernels() is always available and is the semantic
- *    reference; the vector backends must match it to floating-point
- *    rounding (tests/test_fft.cpp cross-checks every table entry over
- *    every plan size the parameter sets use).
+ *    reference (the test oracle). The vector backends must match it
+ *    to floating-point rounding, except vmaBlocked, which fixes one
+ *    fused-multiply-add summation order and must match exactly
+ *    (tests/test_fft.cpp cross-checks every table entry over every
+ *    plan size the parameter sets use).
  *  - avx2Kernels() returns nullptr unless the binary was built with
  *    STRIX_SIMD=ON *and* the running CPU reports AVX2 and FMA.
  *  - activeKernels() picks the best available table once (latched on
@@ -26,9 +30,9 @@
  * Frequency order: the forward transform leaves its output in
  * bit-reversed order and the inverse consumes that order, so no
  * permutation pass runs on the PBS path. Every backend must produce
- * the same order; only pointwise code (mulAccumulate) and the inverse
- * ever read a spectrum, and serialization converts to natural order
- * at the wire (tfhe/serialize.cpp).
+ * the same order; only pointwise code (mulAccumulate, vmaBlocked) and
+ * the inverse ever read a spectrum, and serialization converts to
+ * natural order at the wire (tfhe/serialize.cpp).
  *
  * Adding a backend (NEON, AVX-512) means adding one translation unit
  * defining another PolyKernels table plus a probe in simd.cpp --
@@ -129,7 +133,58 @@ struct PolyKernels
     /** out[i] += a[i] * b[i] for i in [0, m). */
     void (*mulAccumulate)(Cplx *out, const Cplx *a, const Cplx *b,
                           size_t m);
+
+    /**
+     * Blocked vector multiply-accumulate (the VMA unit) of one GGSW
+     * against a chunk of @p count ciphertexts, in one pass over
+     * frequency blocks:
+     *
+     *   out[(b*cols + c)*stride + i] =
+     *       sum_{r < rows} digits[(b*rows + r)*stride + i] * key[r*cols + c][i]
+     *
+     * for every ciphertext b < count, column c < cols and point
+     * i < m (a power of two >= 2). @p digits holds each ciphertext's
+     * rows = (k+1)*l digit spectra, @p out its cols = k+1 product
+     * columns, consecutive spectra @p stride >= m points apart (the
+     * caller pads so that they do not alias in L1 sets); @p key
+     * points at the GGSW's rows*cols frequency rows. @p out is
+     * overwritten, not accumulated. Each key element is loaded, and
+     * shuffled, once per call rather than once per ciphertext, and
+     * each output is written once.
+     *
+     * Summation order (the bit-exactness contract): with a the digit
+     * point and w the key point, every output element is
+     *   p = sum_r fma(a, w.re)            p = (a.re*w.re, a.im*w.re)
+     *   s = sum_r fma(swap(a), w.im)      s = (a.im*w.im, a.re*w.im)
+     *   out = (p.re - s.re, p.im + s.im)  (one addsub)
+     * with both sums running r = 0, 1, ... from +0.0 through fused
+     * multiply-adds. Every backend follows it exactly, so backends
+     * agree bit for bit (no ulp slack), and an output depends only on
+     * its own ciphertext's digits -- never on @p count or on its
+     * place in the chunk. rows*cols must not exceed kVmaMaxKeyRows.
+     */
+    void (*vmaBlocked)(Cplx *out, const Cplx *digits,
+                       const Cplx *const *key, size_t rows, size_t cols,
+                       size_t count, size_t m, size_t stride);
+
+    /**
+     * The keyswitch's row update over a chunk, integer mod 2^32: for
+     * every b < count whose digit d = digits[b * digit_stride] is
+     * nonzero, outs[b][x] -= d * row[x] for x < width. One key row
+     * serves the whole chunk while it is L1-resident. Exact
+     * arithmetic, so every backend agrees word for word.
+     */
+    void (*subScaledRow)(uint32_t *const *outs, const int32_t *digits,
+                         size_t digit_stride, size_t count,
+                         const uint32_t *row, size_t width);
 };
+
+/**
+ * Largest rows*cols = (k+1)^2*l one vmaBlocked call accepts: the
+ * vector backend stages one frequency block of every key row on the
+ * stack. 64 covers k <= 3 at l <= 4 and every shipped parameter set.
+ */
+constexpr size_t kVmaMaxKeyRows = 64;
 
 /** Portable reference table; always built, never null. */
 const PolyKernels &scalarKernels();

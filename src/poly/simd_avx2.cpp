@@ -320,9 +320,180 @@ mulAccumulateAvx2(Cplx *out, const Cplx *a, const Cplx *b, size_t m)
         out[i] += a[i] * b[i];
 }
 
+/**
+ * One ciphertext's C output columns (c0 .. c0+C-1) over one frequency
+ * block of NB registers (2*NB complex points): 2*C*NB accumulators
+ * stay in registers across all key rows. @p dig and @p out point at
+ * the block inside the ciphertext's first digit row / output column;
+ * rows and columns are @p stride doubles apart. @p stage holds the
+ * block's pre-shuffled key: entry (2*e + 0)*NB + q is movedup (w.re
+ * in both lanes) and (2*e + 1)*NB + q is the w.im duplicate of
+ * register q of key row e = r*cols + c.
+ */
+template <size_t C, size_t NB>
+inline void
+vmaTile(double *out, const double *dig, const __m256d *stage, size_t rows,
+        size_t cols, size_t c0, size_t stride)
+{
+    __m256d p[C][NB], s[C][NB];
+    for (size_t c = 0; c < C; ++c)
+        for (size_t q = 0; q < NB; ++q)
+            p[c][q] = s[c][q] = _mm256_setzero_pd();
+    for (size_t r = 0; r < rows; ++r) {
+        __m256d a[NB], as[NB];
+        for (size_t q = 0; q < NB; ++q) {
+            a[q] = _mm256_loadu_pd(dig + r * stride + 4 * q);
+            as[q] = _mm256_permute_pd(a[q], 0x5);
+        }
+        const __m256d *w = stage + (r * cols + c0) * 2 * NB;
+        for (size_t c = 0; c < C; ++c)
+            for (size_t q = 0; q < NB; ++q) {
+                p[c][q] = _mm256_fmadd_pd(a[q], w[2 * c * NB + q], p[c][q]);
+                s[c][q] =
+                    _mm256_fmadd_pd(as[q], w[(2 * c + 1) * NB + q], s[c][q]);
+            }
+    }
+    for (size_t c = 0; c < C; ++c)
+        for (size_t q = 0; q < NB; ++q)
+            _mm256_storeu_pd(out + (c0 + c) * stride + 4 * q,
+                             _mm256_addsub_pd(p[c][q], s[c][q]));
+}
+
+/**
+ * vmaTile for a chunk of one: no staging, the key is read raw and the
+ * digit is shuffled instead. p = sum fma(dup(a.re), w) and
+ * s = sum fma(dup(a.im), w) hold the contract's four sums in other
+ * lanes -- p = (a.re*w.re, a.re*w.im), s = (a.im*w.re, a.im*w.im) --
+ * and addsub(p, swap(s)) = (p.re - s.im, p.im + s.re) forms the same
+ * two results (IEEE addition commutes), so the output bits are those
+ * of the staged tile.
+ */
+template <size_t C, size_t NB>
+inline void
+vmaTileRaw(double *out, const double *dig, const double *const *key,
+           size_t i, size_t rows, size_t cols, size_t c0, size_t stride)
+{
+    __m256d p[C][NB], s[C][NB];
+    for (size_t c = 0; c < C; ++c)
+        for (size_t q = 0; q < NB; ++q)
+            p[c][q] = s[c][q] = _mm256_setzero_pd();
+    for (size_t r = 0; r < rows; ++r) {
+        __m256d ar[NB], ai[NB];
+        for (size_t q = 0; q < NB; ++q) {
+            const __m256d a = _mm256_loadu_pd(dig + r * stride + 4 * q);
+            ar[q] = _mm256_movedup_pd(a);
+            ai[q] = _mm256_permute_pd(a, 0xF);
+        }
+        for (size_t c = 0; c < C; ++c) {
+            const double *w = key[r * cols + c0 + c] + i;
+            for (size_t q = 0; q < NB; ++q) {
+                const __m256d wv = _mm256_loadu_pd(w + 4 * q);
+                p[c][q] = _mm256_fmadd_pd(ar[q], wv, p[c][q]);
+                s[c][q] = _mm256_fmadd_pd(ai[q], wv, s[c][q]);
+            }
+        }
+    }
+    for (size_t c = 0; c < C; ++c)
+        for (size_t q = 0; q < NB; ++q)
+            _mm256_storeu_pd(
+                out + (c0 + c) * stride + 4 * q,
+                _mm256_addsub_pd(p[c][q], _mm256_permute_pd(s[c][q], 0x5)));
+}
+
+/**
+ * vmaBlocked over blocks of 2*NB complex points (m a multiple of
+ * 2*NB). Per block: stage the movedup/permute of every key element
+ * once, then run every ciphertext of the chunk against the staged
+ * block, columns in register tiles of at most two (2 columns x NB = 2
+ * is 8 accumulators plus 4 digit registers, within the 16 ymm).
+ * Staging is what makes a wide chunk cheap: per ciphertext, the tile
+ * spends one shuffle per digit register and none on the key.
+ */
+template <size_t NB>
+void
+vmaBlocks(Cplx *out, const Cplx *digits, const Cplx *const *key,
+          size_t rows, size_t cols, size_t count, size_t m, size_t stride)
+{
+    double *o = reinterpret_cast<double *>(out);
+    const double *d = reinterpret_cast<const double *>(digits);
+    const size_t ds = 2 * stride; // doubles between spectra
+    if (count == 1) {
+        // Staging pays off only when a second ciphertext reuses it.
+        const double *const *kd =
+            reinterpret_cast<const double *const *>(key);
+        for (size_t i = 0; i < 2 * m; i += 4 * NB) {
+            size_t c = 0;
+            for (; c + 2 <= cols; c += 2)
+                vmaTileRaw<2, NB>(o + i, d + i, kd, i, rows, cols, c, ds);
+            if (c < cols)
+                vmaTileRaw<1, NB>(o + i, d + i, kd, i, rows, cols, c, ds);
+        }
+        return;
+    }
+    __m256d stage[2 * kVmaMaxKeyRows * NB];
+    for (size_t i = 0; i < 2 * m; i += 4 * NB) {
+        for (size_t e = 0; e < rows * cols; ++e) {
+            const double *w = reinterpret_cast<const double *>(key[e]) + i;
+            for (size_t q = 0; q < NB; ++q) {
+                const __m256d v = _mm256_loadu_pd(w + 4 * q);
+                stage[2 * e * NB + q] = _mm256_movedup_pd(v);
+                stage[(2 * e + 1) * NB + q] = _mm256_permute_pd(v, 0xF);
+            }
+        }
+        for (size_t b = 0; b < count; ++b) {
+            const double *dig = d + b * rows * ds + i;
+            double *ob = o + b * cols * ds + i;
+            size_t c = 0;
+            for (; c + 2 <= cols; c += 2)
+                vmaTile<2, NB>(ob, dig, stage, rows, cols, c, ds);
+            if (c < cols)
+                vmaTile<1, NB>(ob, dig, stage, rows, cols, c, ds);
+        }
+    }
+}
+
+void
+vmaBlockedAvx2(Cplx *out, const Cplx *digits, const Cplx *const *key,
+               size_t rows, size_t cols, size_t count, size_t m,
+               size_t stride)
+{
+    // m is a power of two >= 2: four-point blocks (one cache line per
+    // stream) everywhere but the m = 2 toy ring.
+    if (m % 4 == 0)
+        vmaBlocks<2>(out, digits, key, rows, cols, count, m, stride);
+    else
+        vmaBlocks<1>(out, digits, key, rows, cols, count, m, stride);
+}
+
+void
+subScaledRowAvx2(uint32_t *const *outs, const int32_t *digits,
+                 size_t digit_stride, size_t count, const uint32_t *row,
+                 size_t width)
+{
+    for (size_t b = 0; b < count; ++b) {
+        const int32_t d = digits[b * digit_stride];
+        if (d == 0)
+            continue;
+        const __m256i dv = _mm256_set1_epi32(d);
+        uint32_t *o = outs[b];
+        size_t x = 0;
+        for (; x + 8 <= width; x += 8) {
+            __m256i *op = reinterpret_cast<__m256i *>(o + x);
+            const __m256i r = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(row + x));
+            _mm256_storeu_si256(op, _mm256_sub_epi32(_mm256_loadu_si256(op),
+                                                     _mm256_mullo_epi32(r, dv)));
+        }
+        const uint32_t digit = static_cast<uint32_t>(d);
+        for (; x < width; ++x)
+            o[x] -= digit * row[x];
+    }
+}
+
 const PolyKernels kAvx2Kernels = {
     "avx2",    fftForwardAvx2, fftInverseAvx2,
     twistAvx2, untwistAvx2,    mulAccumulateAvx2,
+    vmaBlockedAvx2, subScaledRowAvx2,
 };
 
 } // namespace

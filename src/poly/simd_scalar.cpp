@@ -158,9 +158,54 @@ mulAccumulateScalar(Cplx *out, const Cplx *a, const Cplx *b, size_t m)
         out[i] += mul(a[i], b[i]);
 }
 
+void
+vmaBlockedScalar(Cplx *out, const Cplx *digits, const Cplx *const *key,
+                 size_t rows, size_t cols, size_t count, size_t m,
+                 size_t stride)
+{
+    // The contract's summation order (simd.h), written out with
+    // std::fma so that the vector backend's FMA lanes reproduce it
+    // exactly.
+    for (size_t b = 0; b < count; ++b) {
+        const Cplx *dig = digits + b * rows * stride;
+        for (size_t c = 0; c < cols; ++c) {
+            Cplx *o = out + (b * cols + c) * stride;
+            for (size_t i = 0; i < m; ++i) {
+                double p_re = 0.0, p_im = 0.0, s_re = 0.0, s_im = 0.0;
+                for (size_t r = 0; r < rows; ++r) {
+                    const Cplx a = dig[r * stride + i];
+                    const Cplx w = key[r * cols + c][i];
+                    p_re = std::fma(a.real(), w.real(), p_re);
+                    p_im = std::fma(a.imag(), w.real(), p_im);
+                    s_re = std::fma(a.imag(), w.imag(), s_re);
+                    s_im = std::fma(a.real(), w.imag(), s_im);
+                }
+                o[i] = Cplx(p_re - s_re, p_im + s_im);
+            }
+        }
+    }
+}
+
+void
+subScaledRowScalar(uint32_t *const *outs, const int32_t *digits,
+                   size_t digit_stride, size_t count, const uint32_t *row,
+                   size_t width)
+{
+    for (size_t b = 0; b < count; ++b) {
+        const int32_t d = digits[b * digit_stride];
+        if (d == 0)
+            continue;
+        const uint32_t digit = static_cast<uint32_t>(d);
+        uint32_t *o = outs[b];
+        for (size_t x = 0; x < width; ++x)
+            o[x] -= digit * row[x];
+    }
+}
+
 const PolyKernels kScalarKernels = {
     "scalar",      fftForwardScalar, fftInverseScalar,
     twistScalar,   untwistScalar,    mulAccumulateScalar,
+    vmaBlockedScalar, subScaledRowScalar,
 };
 
 } // namespace

@@ -306,15 +306,14 @@ blindRotateBatch(GlweCiphertext *accs, const LweCiphertext *cts,
     }
 
     // n CMux iterations (lines 5-12), key-stationary: one GGSW serves
-    // the whole chunk before the next is loaded.
+    // the whole chunk, through one VMA pass per sub-batch, before the
+    // next is loaded. A zero a~_i skips that ciphertext only.
+    std::vector<uint32_t> &powers = scratch.powers;
+    powers.resize(count);
     for (uint32_t i = 0; i < p.n; ++i) {
-        const GgswFft &bit = bsk.bit(i);
-        for (size_t c = 0; c < count; ++c) {
-            const uint32_t a_tilde = ms(cts[c].a(i));
-            if (a_tilde == 0)
-                continue; // rotation by X^0 - 1 = 0 contributes nothing
-            bit.cmuxRotate(accs[c], a_tilde, scratch);
-        }
+        for (size_t c = 0; c < count; ++c)
+            powers[c] = ms(cts[c].a(i));
+        bsk.bit(i).cmuxRotateBatch(accs, powers.data(), count, scratch);
     }
 }
 

@@ -163,11 +163,13 @@ uint32_t modulusSwitch(Torus32 a, uint32_t big_n);
 /**
  * Key-stationary blind rotation of a chunk of ciphertexts, the
  * software form of Strix's core-level batching: iteration i applies
- * bsk.bit(i) to every accumulator of the chunk before bit(i+1) is
- * touched, so each GGSW of the key streams in from memory once per
- * chunk rather than once per ciphertext. accs[c] is rotated by cts[c]
- * exactly as blindRotate would, bit for bit: the per-accumulator
- * sequence of operations is unchanged, only interleaved.
+ * bsk.bit(i) to every accumulator of the chunk
+ * (GgswFft::cmuxRotateBatch, one VMA pass per sub-batch) before
+ * bit(i+1) is touched, so each GGSW of the key streams in from memory
+ * once per chunk rather than once per ciphertext. accs[c] is rotated
+ * by cts[c] exactly as blindRotate would, bit for bit: the
+ * per-accumulator sequence of operations is unchanged, only
+ * interleaved.
  *
  * @param accs    @p count accumulators; in: trivial GLWEs of the test
  *                vectors, out: rotated GLWEs

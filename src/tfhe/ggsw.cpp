@@ -5,6 +5,8 @@
 
 #include "tfhe/ggsw.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "poly/simd.h"
 
@@ -97,9 +99,38 @@ externalProduct(GlweCiphertext &out, const GgswCiphertext &ggsw,
     }
 }
 
+namespace {
+
+/**
+ * L2 budget of one sub-batch's digit spectra plus product columns.
+ * Half of a 1 MiB L2 (2 MiB on the reference host), so the GGSW being
+ * applied (64 KiB at set I) and the accumulators fit beside it.
+ */
+constexpr size_t kChunkBytes = size_t{512} << 10;
+
+/**
+ * Points of padding after every spectrum in the scratch buffers. An
+ * unpadded N/2-point spectrum is a power-of-two number of bytes, so
+ * the same point of every digit row and product column would fall
+ * into one L1 set (and 4 KiB-alias between loads and stores); two
+ * cache lines of padding spread them. Measured ~25% off the VMA at
+ * chunk widths 4-16 on the reference host.
+ */
+constexpr size_t kSpectrumPad = 8;
+
+void
+checkVmaShape(uint32_t k, const GadgetParams &g)
+{
+    panicIfNot(size_t(k + 1) * g.levels * (k + 1) <= kVmaMaxKeyRows,
+               "GgswFft: (k+1)^2*l exceeds the VMA kernel's key rows");
+}
+
+} // namespace
+
 GgswFft::GgswFft(const GgswCiphertext &ggsw)
     : k_(ggsw.k()), big_n_(ggsw.ringDim()), g_(ggsw.gadget())
 {
+    checkVmaShape(k_, g_);
     const auto &eng = NegacyclicFft::get(big_n_);
     const uint32_t nrows = ggsw.rows();
     rows_.resize(size_t(nrows) * (k_ + 1));
@@ -120,12 +151,139 @@ GgswFft::fromRawRows(uint32_t k, uint32_t big_n, const GadgetParams &g,
     for (const FreqPolynomial &row : rows)
         panicIfNot(row.size() == size_t(big_n) / 2,
                    "GgswFft::fromRawRows: row size mismatch");
+    checkVmaShape(k, g);
     GgswFft out;
     out.k_ = k;
     out.big_n_ = big_n;
     out.g_ = g;
     out.rows_ = std::move(rows);
     return out;
+}
+
+size_t
+GgswFft::stride() const
+{
+    return big_n_ / 2 + kSpectrumPad;
+}
+
+size_t
+GgswFft::chunkWidth() const
+{
+    const size_t spectra = (size_t(k_) + 1) * (g_.levels + 1);
+    const size_t bytes = spectra * stride() * sizeof(Cplx);
+    return std::max<size_t>(1, kChunkBytes / bytes);
+}
+
+void
+GgswFft::prepare(PbsScratch &scratch, size_t slots) const
+{
+    // Grow only: a scratch that served a wider chunk keeps its
+    // buffers, and a width-1 caller never allocates a full sub-batch.
+    const auto atLeast = [](auto &buf, size_t n) {
+        if (buf.size() < n)
+            buf.resize(n);
+    };
+    const size_t cols = size_t(k_) + 1;
+    atLeast(scratch.digit_coeffs, cols * g_.levels * big_n_);
+    atLeast(scratch.spectra, slots * cols * g_.levels * stride());
+    atLeast(scratch.columns, slots * cols * stride());
+}
+
+void
+GgswFft::forwardDigits(Cplx *spectra, const GlweCiphertext &in,
+                       PbsScratch &scratch) const
+{
+    const auto &eng = NegacyclicFft::get(big_n_);
+    const PolyKernels &kernels = activeKernels();
+    int32_t *coeffs = scratch.digit_coeffs.data();
+    const size_t nrows = (size_t(k_) + 1) * g_.levels;
+    for (uint32_t comp = 0; comp <= k_; ++comp)
+        gadgetDecomposePolyInto(coeffs + size_t(comp) * g_.levels * big_n_,
+                                in.poly(comp), g_);
+    for (size_t r = 0; r < nrows; ++r)
+        eng.forward(spectra + r * stride(), coeffs + r * big_n_, kernels);
+}
+
+void
+GgswFft::vma(PbsScratch &scratch, size_t count) const
+{
+    const Cplx *key[kVmaMaxKeyRows];
+    for (size_t e = 0; e < rows_.size(); ++e)
+        key[e] = rows_[e].data();
+    activeKernels().vmaBlocked(scratch.columns.data(), scratch.spectra.data(),
+                               key, (size_t(k_) + 1) * g_.levels,
+                               size_t(k_) + 1, count, big_n_ / 2, stride());
+}
+
+void
+GgswFft::cmuxRotateBatch(GlweCiphertext *accs, const uint32_t *powers,
+                         size_t count, PbsScratch &scratch) const
+{
+    const auto &eng = NegacyclicFft::get(big_n_);
+    const PolyKernels &kernels = activeKernels();
+    const size_t cols = size_t(k_) + 1;
+    const size_t digit_rows = cols * g_.levels;
+    const size_t ds = stride();
+    const size_t width = std::min(count, chunkWidth());
+    prepare(scratch, width);
+    std::vector<size_t> &slots = scratch.slots;
+    GlweCiphertext &diff = scratch.diff;
+    GlweCiphertext &prod = scratch.prod;
+    if (diff.k() != k_ || diff.ringDim() != big_n_)
+        diff = GlweCiphertext(k_, big_n_);
+    if (prod.k() != k_ || prod.ringDim() != big_n_)
+        prod = GlweCiphertext(k_, big_n_);
+
+    size_t next = 0;
+    while (next < count) {
+        // Rotator + Decomposer + FFT: fill up to `width` slots with
+        // the digit spectra of X^power * acc - acc.
+        slots.clear();
+        for (; next < count && slots.size() < width; ++next) {
+            if (powers[next] == 0)
+                continue;
+            GlweCiphertext &acc = accs[next];
+            panicIfNot(acc.k() == k_ && acc.ringDim() == big_n_,
+                       "cmuxRotateBatch: shape mismatch");
+            for (uint32_t c = 0; c <= k_; ++c)
+                negacyclicRotateMinusOne(diff.poly(c), acc.poly(c),
+                                         powers[next]);
+            forwardDigits(scratch.spectra.data() +
+                              slots.size() * digit_rows * ds,
+                          diff, scratch);
+            slots.push_back(next);
+        }
+        if (slots.empty())
+            break;
+        // VMA: one pass of this GGSW over the sub-batch.
+        vma(scratch, slots.size());
+        // IFFT + accumulate: acc += ggsw [*] diff, column by column;
+        // each product column is dead afterwards, so the inverse runs
+        // in place on it.
+        for (size_t j = 0; j < slots.size(); ++j) {
+            GlweCiphertext &acc = accs[slots[j]];
+            for (uint32_t c = 0; c <= k_; ++c) {
+                eng.inverse(prod.poly(c),
+                            scratch.columns.data() + (j * cols + c) * ds,
+                            kernels);
+                acc.poly(c).addAssign(prod.poly(c));
+            }
+        }
+    }
+}
+
+void
+GgswFft::cmuxRotate(GlweCiphertext &acc, uint32_t power,
+                    PbsScratch &scratch) const
+{
+    cmuxRotateBatch(&acc, &power, 1, scratch);
+}
+
+void
+GgswFft::cmuxRotate(GlweCiphertext &acc, uint32_t power) const
+{
+    PbsScratch scratch;
+    cmuxRotate(acc, power, scratch);
 }
 
 void
@@ -136,50 +294,14 @@ GgswFft::externalProduct(GlweCiphertext &out, const GlweCiphertext &glwe,
                "externalProduct(fft): shape mismatch");
     const auto &eng = NegacyclicFft::get(big_n_);
     const PolyKernels &kernels = activeKernels();
-
-    // Decompose every component (Decomposer unit) into one contiguous
-    // digit matrix, then stream the (k+1)*l digit rows one at a time
-    // through the forward FFT (FFT unit) and straight into the
-    // multiply-accumulate against the bsk rows (VMA unit): the one
-    // frequency-domain digit stays L1-resident between the two.
-    // Finally inverse-transform each accumulator column in place
-    // (IFFT unit); the column is dead afterwards, so the inverse
-    // needs no buffer of its own.
-    const size_t nrows = (size_t(k_) + 1) * g_.levels;
-    const size_t m = size_t(big_n_) / 2;
-    std::vector<int32_t> &coeffs = scratch.digit_coeffs;
-    FreqPolynomial &fdigit = scratch.fdigit;
-    std::vector<FreqPolynomial> &acc = scratch.acc;
-    coeffs.resize(nrows * big_n_);
-    fdigit.resize(m);
-    if (acc.size() != size_t(k_) + 1)
-        acc.resize(size_t(k_) + 1);
-    for (auto &col : acc)
-        col.assign(m, Cplx(0, 0));
-
-    for (uint32_t comp = 0; comp <= k_; ++comp)
-        gadgetDecomposePolyInto(
-            coeffs.data() + size_t(comp) * g_.levels * big_n_,
-            glwe.poly(comp), g_);
-    for (size_t r = 0; r < nrows; ++r) {
-        eng.forward(fdigit.data(), coeffs.data() + r * big_n_, kernels);
-        for (uint32_t c = 0; c <= k_; ++c)
-            kernels.mulAccumulate(acc[c].data(), fdigit.data(),
-                                  row(r, c).data(), m);
-    }
-
+    prepare(scratch, 1);
+    forwardDigits(scratch.spectra.data(), glwe, scratch);
+    vma(scratch, 1);
     if (out.k() != k_ || out.ringDim() != big_n_)
         out = GlweCiphertext(k_, big_n_);
     for (uint32_t c = 0; c <= k_; ++c)
-        eng.inverse(out.poly(c), acc[c].data(), kernels);
-}
-
-void
-GgswFft::externalProductPerPoly(GlweCiphertext &out,
-                                const GlweCiphertext &glwe,
-                                PbsScratch &scratch) const
-{
-    externalProduct(out, glwe, scratch);
+        eng.inverse(out.poly(c), scratch.columns.data() + c * stride(),
+                    kernels);
 }
 
 void
@@ -190,25 +312,11 @@ GgswFft::externalProduct(GlweCiphertext &out, const GlweCiphertext &glwe) const
 }
 
 void
-GgswFft::cmuxRotate(GlweCiphertext &acc, uint32_t power,
-                    PbsScratch &scratch) const
+GgswFft::externalProductPerPoly(GlweCiphertext &out,
+                                const GlweCiphertext &glwe,
+                                PbsScratch &scratch) const
 {
-    // diff = X^power * acc - acc (Rotator unit: rotate and subtract)
-    GlweCiphertext &diff = scratch.diff;
-    if (diff.k() != k_ || diff.ringDim() != big_n_)
-        diff = GlweCiphertext(k_, big_n_);
-    for (uint32_t c = 0; c <= k_; ++c)
-        negacyclicRotateMinusOne(diff.poly(c), acc.poly(c), power);
-    // acc += ggsw [*] diff
-    externalProduct(scratch.prod, diff, scratch);
-    acc.addAssign(scratch.prod);
-}
-
-void
-GgswFft::cmuxRotate(GlweCiphertext &acc, uint32_t power) const
-{
-    PbsScratch scratch;
-    cmuxRotate(acc, power, scratch);
+    externalProduct(out, glwe, scratch);
 }
 
 } // namespace strix

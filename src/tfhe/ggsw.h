@@ -91,18 +91,27 @@ void externalProduct(GlweCiphertext &out, const GgswCiphertext &ggsw,
 struct PbsScratch
 {
     /**
-     * Contiguous digit matrix of the external product: (k+1)*l rows
-     * of N coefficients, decomposed component-major so row
-     * comp*l + level holds digit `level` of GLWE component `comp` --
-     * exactly the bsk row order.
+     * One input's digit matrix: (k+1)*l rows of N coefficients,
+     * decomposed component-major so row comp*l + level holds digit
+     * `level` of GLWE component `comp` -- exactly the bsk row order.
      */
     std::vector<int32_t> digit_coeffs;
-    FreqPolynomial fdigit;              //!< current digit row's spectrum
-    std::vector<FreqPolynomial> acc;    //!< per-column freq accumulators
-    GlweCiphertext diff;                //!< CMux rotate-minus-one input
-    GlweCiphertext prod;                //!< external-product output
-    GlweCiphertext sum;                 //!< unrolled-PBS pair accumulator
-    TorusPolynomial rot_tmp;            //!< unrolled-PBS rotation scratch
+    /**
+     * The sub-batch's digit spectra, the VMA input: slot j's (k+1)*l
+     * spectra of N/2 points, each padded to a stride a little over
+     * N/2 so that rows do not alias in L1. At most
+     * GgswFft::chunkWidth() slots, so the buffer (with @ref columns)
+     * stays in L2.
+     */
+    std::vector<Cplx> spectra;
+    /** The VMA output: slot j's k+1 product columns, same stride. */
+    std::vector<Cplx> columns;
+    std::vector<size_t> slots;   //!< accumulator index of each slot
+    std::vector<uint32_t> powers; //!< blind rotation: one bit's a~ per ct
+    GlweCiphertext diff;         //!< CMux rotate-minus-one input
+    GlweCiphertext prod;         //!< external-product output
+    GlweCiphertext sum;          //!< unrolled-PBS pair accumulator
+    TorusPolynomial rot_tmp;     //!< unrolled-PBS rotation scratch
 };
 
 /**
@@ -116,7 +125,10 @@ class GgswFft
   public:
     GgswFft() = default;
 
-    /** Transform every polynomial of @p ggsw. */
+    /**
+     * Transform every polynomial of @p ggsw. Panics when (k+1)^2*l
+     * exceeds kVmaMaxKeyRows (poly/simd.h), as fromRawRows does.
+     */
     GgswFft(const GgswCiphertext &ggsw);
 
     /**
@@ -150,18 +162,58 @@ class GgswFft
     }
 
     /**
-     * External product with frequency-domain accumulation:
-     * decompose -> FFT -> multiply-accumulate -> IFFT, exactly the
-     * PBS-cluster dataflow (Rotator output -> Decomposer -> FFT ->
-     * VMA -> IFFT -> Accumulator). All working storage comes from
-     * @p scratch (one instance per thread); the hot path allocates
-     * nothing once the scratch is sized.
+     * Ciphertexts per VMA call: the widest sub-batch whose digit
+     * spectra and product columns ((k+1)*l + k+1 spectra of N/2
+     * points each) fit a 512 KiB L2 budget. Derived from the shape
+     * alone: 10 at paper set I, 1 only when a single ciphertext's
+     * buffers exceed the budget.
+     */
+    size_t chunkWidth() const;
+
+    /**
+     * Key-stationary CMux over a chunk, the software VMA of Strix's
+     * core-level batching:
+     *   accs[c] <- accs[c] + ggsw [*] (X^powers[c] * accs[c] - accs[c])
+     * for every c < @p count with powers[c] != 0 (a zero power rotates
+     * by X^0 - 1 = 0 and leaves its accumulator untouched).
      *
-     * Digit rows stream one at a time through the forward FFT into
-     * the multiply-accumulate, and each accumulator column is inverse
-     * transformed in place. Spectra stay in the FFT's internal
-     * bit-reversed order throughout: the bsk rows were produced by
-     * the same forward transform, and the product is pointwise.
+     * Dataflow, per sub-batch of up to chunkWidth() active
+     * accumulators: rotate-minus-one (Rotator), decompose (Decomposer)
+     * and forward-transform (FFT) each one into its slot of the
+     * digit-spectra buffer; then one vmaBlocked call (VMA) multiplies
+     * the whole sub-batch against this GGSW, loading each key element
+     * once; then inverse-transform each product column (IFFT) and add
+     * it into its accumulator. Spectra stay in the FFT's internal
+     * bit-reversed order throughout: the bsk rows were produced by the
+     * same forward transform, and the product is pointwise.
+     *
+     * Every result is bit-identical to a width-1 call on the same
+     * accumulator: vmaBlocked's fixed summation order makes an output
+     * independent of the chunk around it. All working storage comes
+     * from @p scratch; the hot path allocates nothing once it is
+     * sized. Panics when an active accumulator's shape differs from
+     * the GGSW's.
+     */
+    void cmuxRotateBatch(GlweCiphertext *accs, const uint32_t *powers,
+                         size_t count, PbsScratch &scratch) const;
+
+    /**
+     * Fused CMux used by blind rotation (Algorithm 1, lines 6-11):
+     *   acc <- acc + ggsw [*] (X^power * acc - acc),
+     * selecting between acc and its rotation with one external
+     * product. The width-1 case of cmuxRotateBatch.
+     */
+    void cmuxRotate(GlweCiphertext &acc, uint32_t power,
+                    PbsScratch &scratch) const;
+
+    /** Convenience overload with a throwaway local scratch. */
+    void cmuxRotate(GlweCiphertext &acc, uint32_t power) const;
+
+    /**
+     * External product out = ggsw [*] glwe with frequency-domain
+     * accumulation: the width-1 pipeline of cmuxRotateBatch without
+     * the rotation (decompose -> FFT -> one vmaBlocked call -> IFFT
+     * straight into @p out).
      */
     void externalProduct(GlweCiphertext &out, const GlweCiphertext &glwe,
                          PbsScratch &scratch) const;
@@ -171,27 +223,35 @@ class GgswFft
                          const GlweCiphertext &glwe) const;
 
     /**
-     * Same as externalProduct (a one-line forward), which already
-     * transforms one digit row at a time. Kept for the strixbench
-     * layer replay, which times it under its own span name.
+     * Same as externalProduct (a one-line forward). Kept for the
+     * strixbench layer replay, which times it under its own span name.
      */
     void externalProductPerPoly(GlweCiphertext &out,
                                 const GlweCiphertext &glwe,
                                 PbsScratch &scratch) const;
 
     /**
-     * Fused CMux used by blind rotation:
-     *   acc <- acc + ggsw [*] (X^power * acc - acc),
-     * selecting between acc and its rotation with one external
-     * product (Algorithm 1, lines 6-11).
+     * Points between consecutive spectra in PbsScratch::spectra and
+     * PbsScratch::columns: N/2 plus a little padding, so that the same
+     * point of consecutive spectra does not share an L1 set. The
+     * stride vmaBlocked is called with.
      */
-    void cmuxRotate(GlweCiphertext &acc, uint32_t power,
-                    PbsScratch &scratch) const;
-
-    /** Convenience overload with a throwaway local scratch. */
-    void cmuxRotate(GlweCiphertext &acc, uint32_t power) const;
+    size_t stride() const;
 
   private:
+    /** Size @p scratch's buffers for at least @p slots slots. */
+    void prepare(PbsScratch &scratch, size_t slots) const;
+
+    /**
+     * Decomposer + FFT: write the (k+1)*l digit spectra of @p in to
+     * @p spectra (scratch.spectra at some slot).
+     */
+    void forwardDigits(Cplx *spectra, const GlweCiphertext &in,
+                       PbsScratch &scratch) const;
+
+    /** VMA: scratch.columns <- the first @p count slots [*] this GGSW. */
+    void vma(PbsScratch &scratch, size_t count) const;
+
     uint32_t k_ = 0;
     uint32_t big_n_ = 0;
     GadgetParams g_{0, 0};

@@ -6,6 +6,7 @@
 #include "tfhe/keyswitch.h"
 
 #include "common/logging.h"
+#include "poly/simd.h"
 
 namespace strix {
 
@@ -90,30 +91,41 @@ KeySwitchKey::fromRows(uint32_t in_dim, uint32_t out_dim,
     return ksk;
 }
 
-LweCiphertext
-keySwitch(const LweCiphertext &ct, const KeySwitchKey &ksk)
+void
+keySwitchBatch(LweCiphertext *outs, const LweCiphertext *ins, size_t count,
+               const KeySwitchKey &ksk)
 {
-    panicIfNot(ct.dim() == ksk.inDim(), "keySwitch: dim mismatch");
+    for (size_t b = 0; b < count; ++b)
+        panicIfNot(ins[b].dim() == ksk.inDim(), "keySwitch: dim mismatch");
     const GadgetParams &g = ksk.gadget();
 
     // o[m] = c[n] (Algorithm 2, line 2), then subtract the decomposed
     // mask against the key rows: out -= digit * row in one pass per
     // row, wrapping mod 2^32 exactly as scale-then-subtract would.
-    LweCiphertext out = LweCiphertext::trivial(ksk.outDim(), ct.b());
-    std::vector<int32_t> digits(g.levels);
-    Torus32 *o = out.raw().data();
-    const size_t width = size_t(ksk.outDim()) + 1; // mask + body
-    for (uint32_t i = 0; i < ksk.inDim(); ++i) {
-        gadgetDecompose(digits.data(), ct.a(i), g);
-        for (uint32_t j = 0; j < g.levels; ++j) {
-            if (digits[j] == 0)
-                continue;
-            const uint32_t digit = static_cast<uint32_t>(digits[j]);
-            const Torus32 *row = ksk.row(i, j).raw().data();
-            for (size_t x = 0; x < width; ++x)
-                o[x] -= digit * row[x];
-        }
+    // Each row is applied to every ciphertext of the chunk while it is
+    // L1-resident, so the key streams in once per chunk.
+    std::vector<Torus32 *> o(count);
+    for (size_t b = 0; b < count; ++b) {
+        outs[b] = LweCiphertext::trivial(ksk.outDim(), ins[b].b());
+        o[b] = outs[b].raw().data();
     }
+    std::vector<int32_t> digits(count * g.levels);
+    const size_t width = size_t(ksk.outDim()) + 1; // mask + body
+    const PolyKernels &kernels = activeKernels();
+    for (uint32_t i = 0; i < ksk.inDim(); ++i) {
+        for (size_t b = 0; b < count; ++b)
+            gadgetDecompose(digits.data() + b * g.levels, ins[b].a(i), g);
+        for (uint32_t j = 0; j < g.levels; ++j)
+            kernels.subScaledRow(o.data(), digits.data() + j, g.levels,
+                                 count, ksk.row(i, j).raw().data(), width);
+    }
+}
+
+LweCiphertext
+keySwitch(const LweCiphertext &ct, const KeySwitchKey &ksk)
+{
+    LweCiphertext out;
+    keySwitchBatch(&out, &ct, 1, ksk);
     return out;
 }
 

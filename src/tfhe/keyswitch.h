@@ -82,7 +82,22 @@ class KeySwitchKey
     std::vector<LweCiphertext> rows_;
 };
 
-/** Switch @p ct (dimension ksk.inDim()) to dimension ksk.outDim(). */
+/**
+ * Key-stationary keyswitch of a chunk: outs[b] <- ins[b] switched from
+ * dimension ksk.inDim() to ksk.outDim(), for b < @p count. Each KSK
+ * row is applied to every ciphertext of the chunk before the next row
+ * is read, so the key (16.4 MB at set I) streams in once per chunk
+ * rather than once per ciphertext. Integer arithmetic mod 2^32: every
+ * outs[b] is word-identical to keySwitch(ins[b], ksk) at any width.
+ * @p outs and @p ins must not overlap; panics on a dimension mismatch.
+ */
+void keySwitchBatch(LweCiphertext *outs, const LweCiphertext *ins,
+                    size_t count, const KeySwitchKey &ksk);
+
+/**
+ * Switch @p ct (dimension ksk.inDim()) to dimension ksk.outDim(): the
+ * width-1 case of keySwitchBatch.
+ */
 LweCiphertext keySwitch(const LweCiphertext &ct, const KeySwitchKey &ksk);
 
 } // namespace strix

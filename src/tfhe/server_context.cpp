@@ -106,10 +106,10 @@ ServerContext::bootstrapBatch(const LweCiphertext *cts,
     }
     std::shared_ptr<ThreadPool> pool = this->pool();
     std::vector<LweCiphertext> out(count);
-    // One contiguous chunk per worker, each blind-rotated
-    // key-stationary (blindRotateBatch): every GGSW of the key is read
-    // once per chunk instead of once per ciphertext. Chunk sizes
-    // differ by at most one.
+    // One contiguous chunk per worker, each blind-rotated and
+    // keyswitched key-stationary (blindRotateBatch, keySwitchBatch):
+    // every GGSW and every KSK row is read once per chunk instead of
+    // once per ciphertext. Chunk sizes differ by at most one.
     const size_t chunks = std::min<size_t>(pool->threads(), count);
     std::vector<GlweCiphertext> accs;
     accs.reserve(count);
@@ -123,8 +123,12 @@ ServerContext::bootstrapBatch(const LweCiphertext *cts,
         const size_t end = (chunk + 1) * count / chunks;
         blindRotateBatch(accs.data() + begin, cts + begin, end - begin,
                          keys_->bsk(), scratch[worker]);
+        std::vector<LweCiphertext> big;
+        big.reserve(end - begin);
         for (size_t i = begin; i < end; ++i)
-            out[i] = keySwitch(sampleExtract(accs[i], 0), keys_->ksk());
+            big.push_back(sampleExtract(accs[i], 0));
+        keySwitchBatch(out.data() + begin, big.data(), big.size(),
+                       keys_->ksk());
     });
     return out;
 }

@@ -108,10 +108,13 @@ class ServerContext
      * bootstrap(cts[i], *tvs[i]) at any thread count.
      *
      * The batch is cut into min(threads, count) contiguous chunks, one
-     * per pool worker, and each chunk is blind-rotated key-stationary
-     * (blindRotateBatch): Strix's core-level batching, where one
-     * bootstrapping-key GGSW serves every ciphertext of the chunk
-     * before the next is fetched.
+     * per pool worker. Each chunk is blind-rotated key-stationary
+     * (blindRotateBatch) and then keyswitched key-stationary
+     * (keySwitchBatch, one call per chunk): Strix's core-level
+     * batching, where one bootstrapping-key GGSW, and one KSK row,
+     * serves every ciphertext of the chunk before the next is
+     * fetched. Both kernels are bit-exact per ciphertext, which is
+     * what keeps out[i] independent of the chunking.
      */
     std::vector<LweCiphertext>
     bootstrapBatch(const LweCiphertext *cts,

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <utility>
 
 #include "common/random.h"
@@ -243,6 +244,8 @@ TEST(SimdDispatch, ScalarTableIsAlwaysAvailable)
     EXPECT_NE(s.twist, nullptr);
     EXPECT_NE(s.untwist, nullptr);
     EXPECT_NE(s.mulAccumulate, nullptr);
+    EXPECT_NE(s.vmaBlocked, nullptr);
+    EXPECT_NE(s.subScaledRow, nullptr);
 }
 
 class KernelCrossCheck : public ::testing::TestWithParam<size_t>
@@ -560,6 +563,192 @@ TEST(NegacyclicFft, InPlaceInverseMatchesCopyingInverse)
                     << tag << " n=" << n << " i=" << i;
                 EXPECT_LE(std::abs(torusDistance(in_place[i], p[i])), 1)
                     << tag << " n=" << n << " i=" << i;
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Chunk kernels: vmaBlocked fixes one FMA summation order, so its
+// backends must agree EXACTLY (no ulp slack), and an output must not
+// depend on the chunk around it; subScaledRow is integer arithmetic.
+
+/** GGSW shape of one vmaBlocked call: rows = (k+1)*l, cols = k+1. */
+struct VmaShape
+{
+    size_t k;
+    size_t l;
+};
+
+const VmaShape kVmaShapes[] = {{1, 2}, {1, 3}, {2, 3}};
+
+/** Digit spectra, key rows and the call's strides for one shape. */
+struct VmaCase
+{
+    VmaCase(size_t m_, VmaShape sh, size_t count_, uint64_t seed)
+        : m(m_), stride(m_ + 3), rows((sh.k + 1) * sh.l), cols(sh.k + 1),
+          count(count_), digits(count_ * rows * stride),
+          key(rows * cols, FreqPolynomial(m_))
+    {
+        // Magnitudes of a real external product: digit spectra up to
+        // ~N*Bg/2, key spectra up to ~N*2^31. Padding points hold
+        // garbage the kernel must never read into a result.
+        Rng rng(seed);
+        const double dmag = double(m) * 512.0, kmag = double(m) * 2e9;
+        for (auto &x : digits)
+            x = Cplx((rng.uniformDouble() - 0.5) * dmag,
+                     (rng.uniformDouble() - 0.5) * dmag);
+        for (auto &row : key)
+            for (auto &x : row)
+                x = Cplx((rng.uniformDouble() - 0.5) * kmag,
+                         (rng.uniformDouble() - 0.5) * kmag);
+        for (const auto &row : key)
+            key_ptrs.push_back(row.data());
+    }
+
+    std::vector<Cplx> run(const PolyKernels &kernels) const
+    {
+        std::vector<Cplx> out(count * cols * stride, Cplx(-1.0, -1.0));
+        kernels.vmaBlocked(out.data(), digits.data(), key_ptrs.data(), rows,
+                           cols, count, m, stride);
+        return out;
+    }
+
+    size_t m, stride, rows, cols, count;
+    std::vector<Cplx> digits;
+    std::vector<FreqPolynomial> key;
+    std::vector<const Cplx *> key_ptrs;
+};
+
+/** Bitwise equality of doubles (0.0 vs -0.0 counts as a difference). */
+bool
+sameBits(Cplx a, Cplx b)
+{
+    return std::memcmp(&a, &b, sizeof(Cplx)) == 0;
+}
+
+class VmaBlockedExactness : public ::testing::TestWithParam<size_t>
+{
+};
+
+TEST_P(VmaBlockedExactness, Avx2MatchesScalarExactly)
+{
+    const PolyKernels *avx2 = avx2Kernels();
+    if (avx2 == nullptr)
+        GTEST_SKIP() << "AVX2 kernels unavailable "
+                        "(STRIX_SIMD=OFF or non-AVX2 host)";
+    const size_t m = GetParam();
+    for (const VmaShape &sh : kVmaShapes) {
+        for (size_t count = 1; count <= 5; ++count) {
+            const VmaCase c(m, sh, count, m * 131 + count * 7 + sh.l);
+            const std::vector<Cplx> ref = c.run(scalarKernels());
+            const std::vector<Cplx> vec = c.run(*avx2);
+            size_t mismatches = 0;
+            for (size_t b = 0; b < count; ++b)
+                for (size_t col = 0; col < c.cols; ++col)
+                    for (size_t i = 0; i < m; ++i) {
+                        const size_t at = (b * c.cols + col) * c.stride + i;
+                        mismatches += !sameBits(vec[at], ref[at]);
+                    }
+            EXPECT_EQ(mismatches, 0u) << "m=" << m << " k=" << sh.k
+                                      << " l=" << sh.l << " width=" << count;
+        }
+    }
+}
+
+TEST_P(VmaBlockedExactness, OutputIndependentOfChunk)
+{
+    // Ciphertext b of a width-5 call must equal a width-1 call on its
+    // own digits, in every table: an output never depends on the
+    // width of the chunk or on its place in it.
+    const size_t m = GetParam();
+    for (const auto &[tag, kernels] : allKernelTables()) {
+        for (const VmaShape &sh : kVmaShapes) {
+            const VmaCase wide(m, sh, 5, m + sh.k);
+            const std::vector<Cplx> all = wide.run(*kernels);
+            for (size_t b = 0; b < wide.count; ++b) {
+                VmaCase one(m, sh, 1, 0);
+                one.key = wide.key;
+                one.key_ptrs = wide.key_ptrs;
+                std::copy_n(wide.digits.begin() + b * wide.rows * wide.stride,
+                            wide.rows * wide.stride, one.digits.begin());
+                const std::vector<Cplx> lone = one.run(*kernels);
+                size_t mismatches = 0;
+                for (size_t col = 0; col < wide.cols; ++col)
+                    for (size_t i = 0; i < m; ++i)
+                        mismatches += !sameBits(
+                            lone[col * wide.stride + i],
+                            all[(b * wide.cols + col) * wide.stride + i]);
+                EXPECT_EQ(mismatches, 0u)
+                    << tag << " m=" << m << " k=" << sh.k << " l=" << sh.l
+                    << " slot " << b;
+            }
+        }
+    }
+}
+
+TEST(VmaBlocked, ScalarFollowsTheContractSummationOrder)
+{
+    // The scalar oracle written out by hand for one point: two FMA
+    // chains from +0.0 over the rows, then one subtract and one add.
+    const VmaCase c(4, {1, 2}, 1, 99);
+    const std::vector<Cplx> out = c.run(scalarKernels());
+    for (size_t col = 0; col < c.cols; ++col) {
+        for (size_t i = 0; i < c.m; ++i) {
+            double p_re = 0.0, p_im = 0.0, s_re = 0.0, s_im = 0.0;
+            for (size_t r = 0; r < c.rows; ++r) {
+                const Cplx a = c.digits[r * c.stride + i];
+                const Cplx w = c.key[r * c.cols + col][i];
+                p_re = std::fma(a.real(), w.real(), p_re);
+                p_im = std::fma(a.imag(), w.real(), p_im);
+                s_re = std::fma(a.imag(), w.imag(), s_re);
+                s_im = std::fma(a.real(), w.imag(), s_im);
+            }
+            EXPECT_TRUE(sameBits(out[col * c.stride + i],
+                                 Cplx(p_re - s_re, p_im + s_im)))
+                << "col " << col << " i " << i;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(PlanSizes, VmaBlockedExactness,
+                         ::testing::ValuesIn(kPlanSizes));
+
+TEST(SubScaledRow, BackendsAgreeWordForWord)
+{
+    // Full-range rows and digits, widths with and without an AVX2
+    // tail, zero digits that must leave their ciphertext untouched.
+    Rng rng(47);
+    for (size_t width : {size_t{1}, size_t{7}, size_t{8}, size_t{17},
+                         size_t{501}}) {
+        const size_t count = 5, stride = 3;
+        std::vector<uint32_t> row(width);
+        for (auto &w : row)
+            w = rng.uniformTorus32();
+        std::vector<int32_t> digits(count * stride);
+        for (auto &d : digits)
+            d = static_cast<int32_t>(rng.uniformBelow(9)) - 4;
+        digits[0] = 0;
+        digits[2 * stride] = 0;
+        std::vector<std::vector<uint32_t>> init(count,
+                                                std::vector<uint32_t>(width));
+        for (auto &ct : init)
+            for (auto &w : ct)
+                w = rng.uniformTorus32();
+        for (const auto &[tag, kernels] : allKernelTables()) {
+            std::vector<std::vector<uint32_t>> outs = init;
+            std::vector<uint32_t *> ptrs;
+            for (auto &ct : outs)
+                ptrs.push_back(ct.data());
+            kernels->subScaledRow(ptrs.data(), digits.data(), stride, count,
+                                  row.data(), width);
+            for (size_t b = 0; b < count; ++b) {
+                std::vector<uint32_t> expect = init[b];
+                const uint32_t d = static_cast<uint32_t>(digits[b * stride]);
+                for (size_t x = 0; x < width; ++x)
+                    expect[x] -= d * row[x];
+                EXPECT_EQ(outs[b], expect)
+                    << tag << " width " << width << " ciphertext " << b;
             }
         }
     }

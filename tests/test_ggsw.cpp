@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "poly/simd.h"
 #include "support/test_util.h"
 #include "tfhe/ggsw.h"
 
@@ -99,12 +102,14 @@ TEST(Ggsw, FftExternalProductMatchesExact)
 
 TEST(Ggsw, BatchFusedExternalProductBitMatchesPerPoly)
 {
-    // The streamed path (digit rows through one reused frequency
-    // buffer, accumulator columns inverse-transformed in place) must
-    // equal a per-poly composition of the public transform API
-    // EXACTLY -- same kernel table, same per-element float ops,
-    // bit-identical output -- across gadget shapes and with real
-    // noise in the inputs.
+    // The production path (digit spectra into the padded scratch, one
+    // vmaBlocked call, accumulator columns inverse-transformed in
+    // place) must equal a composition of the public per-poly API
+    // EXACTLY: per-row forward transforms, the scalar oracle's VMA in
+    // the contract's summation order (the vector VMA matches it bit
+    // for bit), per-column inverses -- across gadget shapes and with
+    // real noise in the inputs. Both also stay within a noise bound
+    // of the exact Karatsuba product.
     Rng rng(21);
     const GgswCase shapes[] = {{1, 128, 10, 2},
                                {2, 64, 8, 3},
@@ -123,28 +128,99 @@ TEST(Ggsw, BatchFusedExternalProductBitMatchesPerPoly)
         ggsw_fft.externalProduct(fused, glwe, fused_scratch);
 
         const auto &eng = NegacyclicFft::get(c.big_n);
-        std::vector<FreqPolynomial> acc(c.k + 1);
+        const size_t m = c.big_n / 2, cols = c.k + 1;
+        const size_t rows = cols * c.levels;
+        std::vector<Cplx> fdigits(rows * m);
         std::vector<IntPolynomial> digits;
         FreqPolynomial fdigit;
         for (uint32_t comp = 0; comp <= c.k; ++comp) {
             gadgetDecomposePoly(digits, glwe.poly(comp), g);
             for (uint32_t level = 0; level < g.levels; ++level) {
                 eng.forward(fdigit, digits[level]);
-                const size_t r = size_t(comp) * g.levels + level;
-                for (uint32_t col = 0; col <= c.k; ++col)
-                    NegacyclicFft::mulAccumulate(acc[col], fdigit,
-                                                 ggsw_fft.row(r, col));
+                std::copy(fdigit.begin(), fdigit.end(),
+                          fdigits.begin() +
+                              (size_t(comp) * g.levels + level) * m);
             }
         }
+        std::vector<const Cplx *> bsk_rows;
+        for (const FreqPolynomial &row : ggsw_fft.rawRows())
+            bsk_rows.push_back(row.data());
+        std::vector<Cplx> acc(cols * m);
+        scalarKernels().vmaBlocked(acc.data(), fdigits.data(),
+                                   bsk_rows.data(), rows, cols, 1, m, m);
         GlweCiphertext ref(c.k, c.big_n);
         for (uint32_t col = 0; col <= c.k; ++col)
-            eng.inverse(ref.poly(col), acc[col]);
+            eng.inverse(ref.poly(col),
+                        FreqPolynomial(acc.begin() + col * m,
+                                       acc.begin() + (col + 1) * m));
         ASSERT_EQ(fused.k(), ref.k());
         for (uint32_t comp = 0; comp <= c.k; ++comp)
             EXPECT_TRUE(fused.poly(comp) == ref.poly(comp))
                 << "N=" << c.big_n << " k=" << c.k << " l=" << c.levels
                 << " comp=" << comp;
+
+        GlweCiphertext exact;
+        externalProduct(exact, ggsw, glwe);
+        for (uint32_t comp = 0; comp <= c.k; ++comp)
+            EXPECT_LE(maxPhaseError(fused.poly(comp), exact.poly(comp)), 16)
+                << "N=" << c.big_n << " k=" << c.k << " l=" << c.levels
+                << " comp=" << comp;
     }
+}
+
+TEST(Ggsw, CmuxRotateBatchBitMatchesWidthOneCalls)
+{
+    // cmuxRotateBatch at width B must equal B width-1 cmuxRotate calls
+    // bit for bit: at the set-I shape, whose chunkWidth() is below 16
+    // so the wide calls cross a sub-batch boundary, and at k=2/l=3.
+    // Zero powers leave their accumulator untouched and must not shift
+    // the slots of their neighbours.
+    Rng rng(23);
+    for (const auto &c : {GgswCase{1, 1024, 10, 2}, GgswCase{2, 64, 8, 3}}) {
+        GlweKey key(c.k, c.big_n, rng);
+        GadgetParams g{c.base_bits, c.levels};
+        GgswFft ggsw_fft(ggswEncrypt(key, 1, g, 1e-7, rng));
+        if (c.big_n == 1024) {
+            ASSERT_LT(ggsw_fft.chunkWidth(), 16u);
+        }
+        for (size_t width : {size_t{1}, size_t{2}, size_t{3}, size_t{5},
+                             size_t{16}, ggsw_fft.chunkWidth() + 1}) {
+            std::vector<GlweCiphertext> accs;
+            std::vector<uint32_t> powers;
+            for (size_t i = 0; i < width; ++i) {
+                accs.push_back(glweEncrypt(
+                    key, randomMessagePoly(c.big_n, rng), 1e-7, rng));
+                powers.push_back(i % 4 == 1
+                                     ? 0
+                                     : uint32_t(rng.uniformBelow(
+                                           2 * c.big_n - 1)) + 1);
+            }
+            std::vector<GlweCiphertext> lone = accs;
+            PbsScratch scratch;
+            for (size_t i = 0; i < width; ++i)
+                ggsw_fft.cmuxRotate(lone[i], powers[i], scratch);
+            ggsw_fft.cmuxRotateBatch(accs.data(), powers.data(), width,
+                                     scratch);
+            for (size_t i = 0; i < width; ++i)
+                for (uint32_t comp = 0; comp <= c.k; ++comp)
+                    EXPECT_TRUE(accs[i].poly(comp) == lone[i].poly(comp))
+                        << "N=" << c.big_n << " width " << width
+                        << " slot " << i << " comp " << comp;
+        }
+    }
+}
+
+TEST(Ggsw, CmuxRotateBatchDiesOnShapeMismatch)
+{
+    Rng rng(24);
+    GlweKey key(1, 64, rng);
+    GgswFft ggsw_fft(ggswEncrypt(key, 1, GadgetParams{10, 2}, 0.0, rng));
+    std::vector<GlweCiphertext> accs{GlweCiphertext(1, 64),
+                                     GlweCiphertext(1, 32)};
+    const uint32_t powers[] = {3, 5};
+    PbsScratch scratch;
+    EXPECT_DEATH(ggsw_fft.cmuxRotateBatch(accs.data(), powers, 2, scratch),
+                 "cmuxRotateBatch: shape mismatch");
 }
 
 TEST(Ggsw, FusedExternalProductSharesScratchAcrossShapes)

@@ -71,6 +71,58 @@ TEST(KeySwitch, SinglePassMatchesScaleThenSubtractFormula)
     }
 }
 
+TEST(KeySwitch, BatchMatchesPerCiphertextWordForWord)
+{
+    // keySwitchBatch applies each KSK row to the whole chunk before
+    // reading the next; every output must still equal a lone
+    // keySwitch word for word, at widths 1/2/3/5/16, with zero digits
+    // (zeroed mask entries) and a trivial ciphertext in the chunk.
+    Rng rng(11);
+    TfheParams p = testParams(40, 128, 1, 3, 8, 1e-5);
+    p.l_ksk = 5;
+    p.ks_base_bits = 3;
+    LweKey from(128, rng);
+    LweKey to(p.n, rng);
+    KeySwitchKey ksk = KeySwitchKey::generate(from, to, p, rng);
+
+    for (size_t width : {size_t{1}, size_t{2}, size_t{3}, size_t{5},
+                         size_t{16}}) {
+        std::vector<LweCiphertext> ins;
+        for (size_t b = 0; b < width; ++b) {
+            LweCiphertext ct(from.dim());
+            for (auto &w : ct.raw())
+                w = rng.uniformTorus32();
+            ins.push_back(std::move(ct));
+        }
+        ins[width / 2] = LweCiphertext::trivial(from.dim(), 0x12345678u);
+        if (width > 1)
+            for (uint32_t i = 0; i < from.dim(); i += 2)
+                ins[width - 1].a(i) = 0;
+        std::vector<LweCiphertext> outs(width);
+        keySwitchBatch(outs.data(), ins.data(), width, ksk);
+        for (size_t b = 0; b < width; ++b)
+            EXPECT_EQ(outs[b].raw(), keySwitch(ins[b], ksk).raw())
+                << "width " << width << " ciphertext " << b;
+        // The trivial ciphertext has all-zero digits: a trivial output.
+        EXPECT_EQ(outs[width / 2].raw(),
+                  LweCiphertext::trivial(p.n, 0x12345678u).raw());
+    }
+}
+
+TEST(KeySwitch, BatchDiesOnDimensionMismatch)
+{
+    Rng rng(12);
+    TfheParams p = testParams(16, 64);
+    p.l_ksk = 3;
+    LweKey from(32, rng);
+    LweKey to(16, rng);
+    KeySwitchKey ksk = KeySwitchKey::generate(from, to, p, rng);
+    std::vector<LweCiphertext> ins{LweCiphertext(32), LweCiphertext(31)};
+    std::vector<LweCiphertext> outs(2);
+    EXPECT_DEATH(keySwitchBatch(outs.data(), ins.data(), 2, ksk),
+                 "keySwitch: dim mismatch");
+}
+
 TEST(KeySwitch, DecompositionDepthControlsError)
 {
     // Shallower keyswitch decomposition leaves a larger rounding

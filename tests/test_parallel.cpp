@@ -350,12 +350,16 @@ TEST_F(BatchPbs, DeterministicAcrossThreadCounts)
 
 /**
  * Key-stationary chunks: bootstrapBatch cuts the batch into one
- * contiguous chunk per worker and blind-rotates each chunk bit by
- * bit (blindRotateBatch). Every out[i] must still be bit-identical to
- * a lone bootstrap(cts[i], *tvs[i]) -- at widths that split unevenly
- * across the pool, with a different LUT per neighbour, and with
- * ciphertexts whose modswitched mask has zero entries (the CMux skip
- * path must skip for that ciphertext only, not for its chunk).
+ * contiguous chunk per worker, blind-rotates each chunk bit by bit
+ * (blindRotateBatch: one cmuxRotateBatch, hence one VMA pass per
+ * sub-batch, per key bit) and keyswitches it with one keySwitchBatch
+ * call. Every out[i] must still be bit-identical to a lone
+ * bootstrap(cts[i], *tvs[i]) -- at widths that split unevenly across
+ * the pool, with a different LUT per neighbour, with ciphertexts
+ * whose modswitched mask has zero entries (the CMux skip path must
+ * skip for that ciphertext only, not for its chunk), and with a chunk
+ * wider than GgswFft::chunkWidth(), which the VMA runs as two
+ * sub-batches.
  */
 TEST_F(BatchPbs, KeyStationaryChunksMatchPerCiphertextBootstrap)
 {
@@ -378,8 +382,12 @@ TEST_F(BatchPbs, KeyStationaryChunksMatchPerCiphertextBootstrap)
         }
     };
 
+    // At one thread, width 16 and 17 are single chunks that exceed
+    // the sub-batch width.
+    const size_t sub_batch = server().bsk().bit(0).chunkWidth();
+    ASSERT_LT(sub_batch, 16u);
     for (size_t width : {size_t{1}, size_t{2}, size_t{3}, size_t{5},
-                         size_t{16}}) {
+                         size_t{16}, size_t{17}}) {
         std::vector<LweCiphertext> cts = encryptRange(width);
         // A trivial ciphertext: every mask entry, hence every a~_i,
         // is zero, so its blind rotation skips all n CMuxes.
