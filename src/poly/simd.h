@@ -161,7 +161,7 @@ struct PolyKernels
      * multiply-adds. Every backend follows it exactly, so backends
      * agree bit for bit (no ulp slack), and an output depends only on
      * its own ciphertext's digits -- never on @p count or on its
-     * place in the chunk. rows*cols must not exceed kVmaMaxKeyRows.
+     * place in the chunk.
      */
     void (*vmaBlocked)(Cplx *out, const Cplx *digits,
                        const Cplx *const *key, size_t rows, size_t cols,
@@ -178,13 +178,6 @@ struct PolyKernels
                          size_t digit_stride, size_t count,
                          const uint32_t *row, size_t width);
 };
-
-/**
- * Largest rows*cols = (k+1)^2*l one vmaBlocked call accepts: the
- * vector backend stages one frequency block of every key row on the
- * stack. 64 covers k <= 3 at l <= 4 and every shipped parameter set.
- */
-constexpr size_t kVmaMaxKeyRows = 64;
 
 /** Portable reference table; always built, never null. */
 const PolyKernels &scalarKernels();

@@ -29,6 +29,7 @@
 #include <immintrin.h>
 
 #include <cmath>
+#include <vector>
 
 namespace strix {
 namespace {
@@ -360,45 +361,17 @@ vmaTile(double *out, const double *dig, const __m256d *stage, size_t rows,
 }
 
 /**
- * vmaTile for a chunk of one: no staging, the key is read raw and the
- * digit is shuffled instead. p = sum fma(dup(a.re), w) and
- * s = sum fma(dup(a.im), w) hold the contract's four sums in other
- * lanes -- p = (a.re*w.re, a.re*w.im), s = (a.im*w.re, a.im*w.im) --
- * and addsub(p, swap(s)) = (p.re - s.im, p.im + s.re) forms the same
- * two results (IEEE addition commutes), so the output bits are those
- * of the staged tile.
+ * (k+1)^2*l up to which vmaBlocks stages a key block on the stack:
+ * k <= 3 at l <= 4 and every shipped parameter set. Wider GGSWs
+ * stage on the heap, through the same loop.
  */
-template <size_t C, size_t NB>
-inline void
-vmaTileRaw(double *out, const double *dig, const double *const *key,
-           size_t i, size_t rows, size_t cols, size_t c0, size_t stride)
+constexpr size_t kStageRows = 64;
+
+/** Heap storage of one staged ymm register. */
+struct alignas(32) StagedReg
 {
-    __m256d p[C][NB], s[C][NB];
-    for (size_t c = 0; c < C; ++c)
-        for (size_t q = 0; q < NB; ++q)
-            p[c][q] = s[c][q] = _mm256_setzero_pd();
-    for (size_t r = 0; r < rows; ++r) {
-        __m256d ar[NB], ai[NB];
-        for (size_t q = 0; q < NB; ++q) {
-            const __m256d a = _mm256_loadu_pd(dig + r * stride + 4 * q);
-            ar[q] = _mm256_movedup_pd(a);
-            ai[q] = _mm256_permute_pd(a, 0xF);
-        }
-        for (size_t c = 0; c < C; ++c) {
-            const double *w = key[r * cols + c0 + c] + i;
-            for (size_t q = 0; q < NB; ++q) {
-                const __m256d wv = _mm256_loadu_pd(w + 4 * q);
-                p[c][q] = _mm256_fmadd_pd(ar[q], wv, p[c][q]);
-                s[c][q] = _mm256_fmadd_pd(ai[q], wv, s[c][q]);
-            }
-        }
-    }
-    for (size_t c = 0; c < C; ++c)
-        for (size_t q = 0; q < NB; ++q)
-            _mm256_storeu_pd(
-                out + (c0 + c) * stride + 4 * q,
-                _mm256_addsub_pd(p[c][q], _mm256_permute_pd(s[c][q], 0x5)));
-}
+    double v[4];
+};
 
 /**
  * vmaBlocked over blocks of 2*NB complex points (m a multiple of
@@ -417,20 +390,16 @@ vmaBlocks(Cplx *out, const Cplx *digits, const Cplx *const *key,
     double *o = reinterpret_cast<double *>(out);
     const double *d = reinterpret_cast<const double *>(digits);
     const size_t ds = 2 * stride; // doubles between spectra
-    if (count == 1) {
-        // Staging pays off only when a second ciphertext reuses it.
-        const double *const *kd =
-            reinterpret_cast<const double *const *>(key);
-        for (size_t i = 0; i < 2 * m; i += 4 * NB) {
-            size_t c = 0;
-            for (; c + 2 <= cols; c += 2)
-                vmaTileRaw<2, NB>(o + i, d + i, kd, i, rows, cols, c, ds);
-            if (c < cols)
-                vmaTileRaw<1, NB>(o + i, d + i, kd, i, rows, cols, c, ds);
-        }
-        return;
+    // One frequency block of every key row stays staged while the
+    // chunk runs against it: on the stack for every shipped shape,
+    // on the heap past kStageRows.
+    __m256d small[2 * kStageRows * NB];
+    std::vector<StagedReg> large;
+    __m256d *stage = small;
+    if (rows * cols > kStageRows) {
+        large.resize(2 * rows * cols * NB);
+        stage = reinterpret_cast<__m256d *>(large.data());
     }
-    __m256d stage[2 * kVmaMaxKeyRows * NB];
     for (size_t i = 0; i < 2 * m; i += 4 * NB) {
         for (size_t e = 0; e < rows * cols; ++e) {
             const double *w = reinterpret_cast<const double *>(key[e]) + i;

@@ -118,19 +118,11 @@ constexpr size_t kChunkBytes = size_t{512} << 10;
  */
 constexpr size_t kSpectrumPad = 8;
 
-void
-checkVmaShape(uint32_t k, const GadgetParams &g)
-{
-    panicIfNot(size_t(k + 1) * g.levels * (k + 1) <= kVmaMaxKeyRows,
-               "GgswFft: (k+1)^2*l exceeds the VMA kernel's key rows");
-}
-
 } // namespace
 
 GgswFft::GgswFft(const GgswCiphertext &ggsw)
     : k_(ggsw.k()), big_n_(ggsw.ringDim()), g_(ggsw.gadget())
 {
-    checkVmaShape(k_, g_);
     const auto &eng = NegacyclicFft::get(big_n_);
     const uint32_t nrows = ggsw.rows();
     rows_.resize(size_t(nrows) * (k_ + 1));
@@ -151,7 +143,6 @@ GgswFft::fromRawRows(uint32_t k, uint32_t big_n, const GadgetParams &g,
     for (const FreqPolynomial &row : rows)
         panicIfNot(row.size() == size_t(big_n) / 2,
                    "GgswFft::fromRawRows: row size mismatch");
-    checkVmaShape(k, g);
     GgswFft out;
     out.k_ = k;
     out.big_n_ = big_n;
@@ -207,11 +198,12 @@ GgswFft::forwardDigits(Cplx *spectra, const GlweCiphertext &in,
 void
 GgswFft::vma(PbsScratch &scratch, size_t count) const
 {
-    const Cplx *key[kVmaMaxKeyRows];
+    std::vector<const Cplx *> &key = scratch.key_rows;
+    key.resize(rows_.size());
     for (size_t e = 0; e < rows_.size(); ++e)
         key[e] = rows_[e].data();
     activeKernels().vmaBlocked(scratch.columns.data(), scratch.spectra.data(),
-                               key, (size_t(k_) + 1) * g_.levels,
+                               key.data(), (size_t(k_) + 1) * g_.levels,
                                size_t(k_) + 1, count, big_n_ / 2, stride());
 }
 

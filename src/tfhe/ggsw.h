@@ -106,6 +106,7 @@ struct PbsScratch
     std::vector<Cplx> spectra;
     /** The VMA output: slot j's k+1 product columns, same stride. */
     std::vector<Cplx> columns;
+    std::vector<const Cplx *> key_rows; //!< VMA key: the GGSW's rows
     std::vector<size_t> slots;   //!< accumulator index of each slot
     std::vector<uint32_t> powers; //!< blind rotation: one bit's a~ per ct
     GlweCiphertext diff;         //!< CMux rotate-minus-one input
@@ -125,10 +126,7 @@ class GgswFft
   public:
     GgswFft() = default;
 
-    /**
-     * Transform every polynomial of @p ggsw. Panics when (k+1)^2*l
-     * exceeds kVmaMaxKeyRows (poly/simd.h), as fromRawRows does.
-     */
+    /** Transform every polynomial of @p ggsw. */
     GgswFft(const GgswCiphertext &ggsw);
 
     /**

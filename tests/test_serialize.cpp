@@ -634,6 +634,36 @@ TEST(SerializeEvk2, RandomShapeRoundTripSweep)
     }
 }
 
+TEST(SerializeEvk2, WideGadgetShapeLoadsAndBootstraps)
+{
+    // k=3, l=5: (k+1)^2*l = 80 rows per GGSW, more than the VMA kernel
+    // stages on the stack. Every wire check accepts the shape, so the
+    // bundle must load, re-serialize byte-exactly and bootstrap
+    // bit-identically to the original -- never abort the reader.
+    ClientKeyset client(testParams(8, 64, 3, 5, 6, 0.0), 0xC0FFEE);
+    const std::string bytes = frameBytes(*client.evalKeys());
+    std::stringstream ss(bytes);
+    std::shared_ptr<const EvalKeys> back = deserializeEvalKeys(ss);
+    ASSERT_NE(back, nullptr);
+    EXPECT_EQ(frameBytes(*back), bytes);
+    expectSameKeyMaterial(*back, *client.evalKeys());
+
+    ServerContext here(client.evalKeys());
+    ServerContext there(back);
+    const uint64_t space = 4;
+    auto lut = [](int64_t v) { return (v + 3) % 4; };
+    std::vector<LweCiphertext> cts;
+    for (int64_t m = 0; m < 4; ++m)
+        cts.push_back(client.encryptInt(m, space));
+    std::vector<LweCiphertext> swept = there.applyLutBatch(cts, space, lut);
+    for (size_t i = 0; i < cts.size(); ++i) {
+        EXPECT_EQ(here.applyLut(cts[i], space, lut).raw(), swept[i].raw())
+            << "m=" << i;
+        EXPECT_EQ(client.decryptInt(swept[i], space), lut(int64_t(i)))
+            << "m=" << i;
+    }
+}
+
 TEST(SerializeEvk2, CompressesWellUnderTheExpandedFrame)
 {
     // The bar is <= 55% of the resident (expanded) key bytes; the

@@ -473,6 +473,31 @@ TEST(ServerHostile, BitFlippedKeyUploadRejected)
     EXPECT_TRUE(h.client.ping());
 }
 
+TEST(ServerHostile, WideGadgetKeyUploadIsServedNotAborted)
+{
+    // A few-KiB upload at k=3, l=5 passes every wire check; its 80-row
+    // GGSWs exceed the VMA kernel's stack stage. The daemon must load
+    // and serve the bundle, not die in the key rebuild.
+    Harness h;
+    const ClientKeyset keyset(testParams(8, 64, 3, 5, 6, 0.0), 0xC0FFEE);
+    StrixClient::Reply r = h.client.call(MsgType::RegisterTenant, 9,
+                                         keysPayload(keyset));
+    ASSERT_TRUE(r.ok) << r.error_text;
+    EXPECT_TRUE(h.client.ping());
+
+    const uint64_t space = 4;
+    r = h.client.call(
+        MsgType::Bootstrap, 9,
+        encodeBootstrapPayload(
+            keyset.encryptInt(1, space),
+            makeIntTestVector(64, space,
+                              [](int64_t v) { return (v + 2) % 4; })));
+    ASSERT_TRUE(r.ok) << r.error_text;
+    std::vector<LweCiphertext> out = decodeCiphertexts(r.payload);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(keyset.decryptInt(out[0], space), 3);
+}
+
 TEST(ServerHostile, RetiredExpandedKeyUploadRejected)
 {
     // A RegisterTenant payload in the retired expanded generation
