@@ -21,6 +21,7 @@
  */
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 
 #include "common/table.h"
@@ -105,8 +106,16 @@ main()
     std::vector<int32_t> coeffs(digit_rows * p.N);
     // One slot of the production scratch layout: digit_rows spectra
     // in, cols product columns out, `stride` points apart.
-    std::vector<Cplx> spectra(digit_rows * stride);
-    std::vector<Cplx> columns(cols * stride);
+    // Cache-line aligned like the production scratch, so that each
+    // 4-point split block is one line.
+    std::vector<Cplx> spectra_buf(digit_rows * stride + 3);
+    std::vector<Cplx> columns_buf(cols * stride + 3);
+    const auto lineAligned = [](std::vector<Cplx> &buf) {
+        const uintptr_t p = reinterpret_cast<uintptr_t>(buf.data());
+        return reinterpret_cast<Cplx *>((p + 63) & ~uintptr_t{63});
+    };
+    Cplx *const spectra = lineAligned(spectra_buf);
+    Cplx *const columns = lineAligned(columns_buf);
     // Every bit's frequency rows, as the VMA call takes them.
     const size_t per_bit = digit_rows * cols;
     std::vector<const Cplx *> key_rows;
@@ -114,7 +123,6 @@ main()
     for (uint32_t i = 0; i < p.n; ++i)
         for (const FreqPolynomial &row : bsk.bit(i).rawRows())
             key_rows.push_back(row.data());
-    TorusPolynomial prod(p.N);
     PbsScratch scratch;
 
     // CMux iterations per PBS: bits whose switched mask is 0 skip.
@@ -144,22 +152,23 @@ main()
         });
         forward.time(200, [&](long i) {
             const size_t r = size_t(i) % digit_rows;
-            eng.forward(spectra.data() + r * stride,
+            eng.forward(spectra + r * stride,
                         coeffs.data() + r * p.N, kernels);
         });
         // The VMA call of one iteration, streaming the key as the
         // iterations do: call i reads every row of bit i, never one
         // cache-hot GGSW.
         mac.time(100, [&](long i) {
-            kernels.vmaBlocked(columns.data(), spectra.data(),
+            kernels.vmaBlocked(columns, spectra,
                                key_rows.data() + (size_t(i) % p.n) * per_bit,
                                digit_rows, cols, 1, half_n, stride);
         });
-        // The inverse clobbers its input column, as in production.
+        // The inverse-add clobbers its input column and adds into the
+        // accumulator, as in production.
         inverse.time(100, [&](long i) {
             const size_t c = size_t(i) % cols;
-            eng.inverse(prod, columns.data() + c * stride, kernels);
-            acc.poly(c).addAssign(prod);
+            eng.inverseAdd(acc.poly(c).data(), columns + c * stride,
+                           kernels);
         });
         cmux.time(60, [&](long i) {
             bsk.bit(size_t(i) % p.n).cmuxRotate(rot, power(i), scratch);

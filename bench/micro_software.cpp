@@ -8,9 +8,10 @@
  * `--json <file>` (or `--json=<file>`) writes the results as Google
  * Benchmark's JSON to <file>; CI's bench job uploads that file as the
  * `bench-results` artifact, and BENCH_baseline.json in the repo root
- * is the first recorded capture. The BM_FftForward/<kernel> rows run
- * the scalar and AVX2 kernel tables explicitly, so one run records
- * the dispatch speedup; every other row uses whatever activeKernels()
+ * is the first recorded capture. The BM_FftForward/<kernel>/<m> rows
+ * run the fused negacyclic forward (ring dimension 2m) through the
+ * scalar and AVX2 kernel tables explicitly, so one run records the
+ * dispatch speedup; every other row uses whatever activeKernels()
  * selected (see the `fft_kernel` context key, and STRIX_FORCE_SCALAR
  * to pin it).
  */
@@ -48,20 +49,6 @@ keysI()
     static KeysI keys;
     return keys;
 }
-
-void
-BM_ComplexFft(benchmark::State &state)
-{
-    const size_t m = state.range(0);
-    const FftPlan &plan = FftPlan::get(m);
-    std::vector<Cplx> data(m, Cplx(0.5, -0.25));
-    for (auto _ : state) {
-        plan.forward(data.data());
-        benchmark::DoNotOptimize(data.data());
-    }
-    state.SetItemsProcessed(state.iterations() * m);
-}
-BENCHMARK(BM_ComplexFft)->Arg(512)->Arg(1024)->Arg(8192);
 
 void
 BM_NegacyclicForward(benchmark::State &state)
@@ -308,20 +295,25 @@ BENCHMARK(BM_BootstrapBatch)->Arg(16)->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
 /**
- * Forward FFT through an explicit kernel table: the A/B pair CI
- * records so the dispatch speedup is measured, not asserted (expected
- * well above 2x on AVX2 hosts -- the baseline capture shows 5-9x --
- * but the bench job never gates a merge; shared runners are noisy).
+ * Negacyclic forward transform of one ring-2m row (fold, twist and
+ * the m-point FFT: the fused kernel the CMux runs per digit row)
+ * through an explicit kernel table: the A/B pair CI records so the
+ * dispatch speedup is measured, not asserted (the bench job never
+ * gates a merge; shared runners are noisy).
  */
 void
 BM_FftForwardKernel(benchmark::State &state, const PolyKernels *kernels,
                     size_t m)
 {
-    const FftPlan &plan = FftPlan::get(m);
-    std::vector<Cplx> data(m, Cplx(0.5, -0.25));
+    const NegacyclicFft &eng = NegacyclicFft::get(2 * m);
+    Rng rng(m);
+    std::vector<int32_t> coeffs(2 * m);
+    for (int32_t &c : coeffs)
+        c = static_cast<int32_t>(rng.uniformTorus32());
+    std::vector<Cplx> out(m);
     for (auto _ : state) {
-        plan.forward(data.data(), *kernels);
-        benchmark::DoNotOptimize(data.data());
+        eng.forward(out.data(), coeffs.data(), *kernels);
+        benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(state.iterations() * int64_t(m));
 }

@@ -1,6 +1,7 @@
 /**
  * @file
- * Permutation-free radix-4 complex FFT with a precomputed plan.
+ * Precomputed plan of the permutation-free radix-4 FFT inside the
+ * negacyclic transform.
  *
  * This mirrors the structure of the hardware pipelined FFT in the
  * paper (Fig. 5): butterfly stages with twiddle ROMs, run here as
@@ -12,14 +13,12 @@
  * pointwise, so the order never has to be undone on the PBS path.
  * Plans are cached per size.
  *
- * The butterfly loops themselves live behind the runtime-dispatched
- * kernel table in poly/simd.h: a plan holds only the precomputed
- * tables (pass-major twiddles, plus the bit-reversal permutation for
- * code that needs natural spectral order), and forward()/inverse()
- * run whichever backend activeKernels() selected at startup (AVX2+FMA
- * where available, scalar otherwise or under STRIX_FORCE_SCALAR=1).
- * The kernel-explicit overloads let tests and benchmarks run both
- * backends side by side in one process.
+ * A plan holds only tables: the pass-major twiddles and the
+ * negacyclic twist the dispatched kernels (poly/simd.h) read, and the
+ * map from natural spectral point to storage slot (reSlot/imSlot),
+ * the one place outside the kernels that knows the spectral layout.
+ * The butterflies run fused with the fold/twist and untwist/round
+ * edges of NegacyclicFft, which is the transform's only interface.
  */
 
 #ifndef STRIX_POLY_COMPLEX_FFT_H
@@ -35,7 +34,6 @@ namespace strix {
 using Cplx = std::complex<double>;
 
 struct FftTables;
-struct PolyKernels;
 
 /**
  * Largest log2 size the process-wide plan caches accept. 2^32 points
@@ -46,8 +44,8 @@ struct PolyKernels;
 inline constexpr size_t kMaxFftLog2 = 32;
 
 /**
- * FFT plan for a fixed power-of-two size M: per-pass twiddle factors
- * and the bit-reversal permutation describing the output order.
+ * FFT plan for a fixed power-of-two size M: per-pass twiddle factors,
+ * the negacyclic twist, and where each spectral point is stored.
  */
 class FftPlan
 {
@@ -57,37 +55,22 @@ class FftPlan
 
     size_t size() const { return m_; }
 
-    /**
-     * In-place forward transform with positive exponent convention:
-     * X_k = sum_j x_j * exp(+2*pi*i*j*k / M). Input in natural order;
-     * output in bit-reversed order: X_k lands at index
-     * bitReverse()[k]. Runs the dispatched (activeKernels) backend.
-     */
-    void forward(Cplx *data) const;
-
-    /**
-     * In-place inverse transform (negative exponent), scaled by 1/M:
-     * x_j = (1/M) sum_k X_k * exp(-2*pi*i*j*k / M). Input in
-     * forward()'s bit-reversed order; output in natural order, so
-     * inverse(forward(x)) == x with no permutation anywhere.
-     */
-    void inverse(Cplx *data) const;
-
-    /** forward() through an explicit kernel table (A/B testing). */
-    void forward(Cplx *data, const PolyKernels &kernels) const;
-
-    /** inverse() through an explicit kernel table (A/B testing). */
-    void inverse(Cplx *data, const PolyKernels &kernels) const;
-
     /** Borrowed view of the precomputed tables for kernel calls. */
     FftTables tables() const;
 
     /**
-     * The bit-reversal permutation of log2(M) bits (an involution):
-     * forward() leaves X_k at index bitReverse()[k]. Only code that
-     * needs natural spectral order (the wire format, tests) reads it.
+     * Storage of natural spectral point @p t (t < M) of an M-point
+     * spectrum: its real part is double reSlot(t) and its imaginary
+     * part double imSlot(t) of the buffer viewed as 2*M doubles.
+     * Point t is X_t = sum_j x_j exp(+2*pi*i*j*t/M) of the FFT input
+     * x; for a NegacyclicFft spectrum of ring dimension N = 2M it is
+     * the polynomial's evaluation at exp(i*pi*(4t+1)/N). The map
+     * folds the bit-reversed point order and the split re/im blocks
+     * (poly/simd.h) into one lookup; only code that must see natural
+     * points (the wire format, tests) calls it.
      */
-    const std::vector<uint32_t> &bitReverse() const { return bit_reverse_; }
+    size_t reSlot(size_t t) const { return re_slot_[t]; }
+    size_t imSlot(size_t t) const { return re_slot_[t] + block_; }
 
     /**
      * Obtain a cached plan for size @p m. Thread-safe: the first call
@@ -106,9 +89,13 @@ class FftPlan
 
   private:
     size_t m_;
-    std::vector<uint32_t> bit_reverse_;
+    size_t block_; //!< points per split block: min(4, M)
+    /** reSlot() of every natural point t. */
+    std::vector<uint32_t> re_slot_;
     /** Pass-major radix-4 twiddles; see FftTables::twiddles. */
-    std::vector<Cplx> twiddles_;
+    std::vector<double> twiddles_;
+    /** exp(i*pi*j/(2M)), j < M; see FftTables::twist. */
+    std::vector<double> twist_;
     bool radix2_tail_ = false; //!< log2(M) odd; see FftTables
 };
 

@@ -1,14 +1,14 @@
 /**
  * @file
- * Folded negacyclic FFT implementation. The fold/twist/untwist loops
- * run through the runtime-dispatched kernel table (poly/simd.h), so
- * every caller -- externalProduct, blindRotate, bootstrapBatch --
- * picks up the vector backend transparently.
+ * Folded negacyclic FFT implementation. Each transform is one call
+ * into the runtime-dispatched kernel table (poly/simd.h), so every
+ * caller -- externalProduct, blindRotate, bootstrapBatch -- picks up
+ * the vector backend transparently.
  */
 
 #include "poly/negacyclic_fft.h"
 
-#include <cmath>
+#include <algorithm>
 
 #include "common/logging.h"
 #include "poly/plan_cache.h"
@@ -21,11 +21,6 @@ NegacyclicFft::NegacyclicFft(size_t n)
 {
     panicIfNot(n >= 4 && (n & (n - 1)) == 0,
                "negacyclic FFT ring dim must be 2^k >= 4");
-    twist_.resize(n / 2);
-    for (size_t j = 0; j < n / 2; ++j) {
-        double ang = M_PI * static_cast<double>(j) / static_cast<double>(n);
-        twist_[j] = Cplx(std::cos(ang), std::sin(ang));
-    }
 }
 
 void
@@ -41,10 +36,7 @@ void
 NegacyclicFft::forward(Cplx *out, const int32_t *coeffs,
                        const PolyKernels &kernels) const
 {
-    const size_t m = n_ / 2;
-    // Fold: u_j = a_j + i * a_{j+N/2}, then twist by w^j.
-    kernels.twist(out, coeffs, coeffs + m, twist_.data(), m);
-    plan_.forward(out, kernels);
+    kernels.negacyclicForward(plan_.tables(), out, coeffs);
 }
 
 void
@@ -114,10 +106,15 @@ NegacyclicFft::inverse(TorusPolynomial &out, Cplx *work,
                        const PolyKernels &kernels) const
 {
     panicIfNot(out.size() == n_, "inverse: polynomial size mismatch");
-    const size_t m = n_ / 2;
-    plan_.inverse(work, kernels);
-    // Untwist by conj(w^j), round to the integer grid, wrap mod 2^32.
-    kernels.untwist(out.data(), out.data() + m, work, twist_.data(), m);
+    std::fill(out.data(), out.data() + n_, Torus32{0});
+    inverseAdd(out.data(), work, kernels);
+}
+
+void
+NegacyclicFft::inverseAdd(Torus32 *acc, Cplx *work,
+                          const PolyKernels &kernels) const
+{
+    kernels.negacyclicInverseAdd(plan_.tables(), acc, work);
 }
 
 void
@@ -140,7 +137,12 @@ NegacyclicFft::mulAccumulate(FreqPolynomial &out, const FreqPolynomial &a,
     // partial sum vanished along with the mismatch).
     panicIfNot(out.size() == a.size(),
                "mulAccumulate accumulator size mismatch");
-    kernels.mulAccumulate(out.data(), a.data(), b.data(), a.size());
+    FreqPolynomial prod(a.size());
+    const Cplx *key = b.data();
+    kernels.vmaBlocked(prod.data(), a.data(), &key, 1, 1, 1, a.size(),
+                       a.size());
+    for (size_t i = 0; i < out.size(); ++i)
+        out[i] += prod[i];
 }
 
 namespace {

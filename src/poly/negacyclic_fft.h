@@ -17,12 +17,15 @@
  * half determines the whole transform of a real polynomial.
  *
  * Frequency order: the N/2 points of a FreqPolynomial are in the
- * complex FFT's bit-reversed output order -- A_{2t} sits at index
- * bit_reverse[t] of the N/2-point plan (FftPlan::bitReverse()). The
- * order is internal: products and sums are pointwise, the inverse
- * consumes it directly, and bootstrapping-key rows come from the same
- * forward(). Only the wire format converts to natural order
- * (tfhe/serialize.cpp).
+ * complex FFT's bit-reversed output order -- A_{2t} sits at position
+ * bit_reverse[t] of the N/2-point plan -- stored as split blocks of 4
+ * points (4 real parts, then 4 imaginary parts; 2 and 2 at N = 4), so
+ * the N/2 Cplx slots of the vector are storage, not points. The
+ * layout is internal: products and sums are pointwise, the inverse
+ * consumes it directly, and bootstrapping-key rows come from the
+ * same forward(). FftPlan::reSlot()/imSlot() map natural point t to
+ * its storage; only the wire format (tfhe/serialize.cpp) and tests
+ * use them.
  */
 
 #ifndef STRIX_POLY_NEGACYCLIC_FFT_H
@@ -39,7 +42,7 @@ struct PolyKernels;
 
 /**
  * Frequency-domain image of a length-N real polynomial: N/2 points in
- * bit-reversed order (see the file comment).
+ * bit-reversed order, split re/im blocks (see the file comment).
  */
 using FreqPolynomial = std::vector<Cplx>;
 
@@ -72,18 +75,29 @@ class NegacyclicFft
     /**
      * Inverse transform onto the Torus32 grid (round and wrap
      * mod 2^32). Copies @p freq into a temporary first; hot loops use
-     * the in-place overload below.
+     * inverseAdd() below.
      */
     void inverse(TorusPolynomial &out, const FreqPolynomial &freq) const;
 
     /**
      * In-place inverse over a caller-owned buffer: @p work holds N/2
      * frequency points on entry and is clobbered (it carries the
-     * transform's intermediate values). Allocates nothing; the
-     * external product passes its dead accumulator column.
+     * transform's intermediate values). Allocates nothing; the same
+     * kernel as inverseAdd() onto a zeroed @p out.
      */
     void inverse(TorusPolynomial &out, Cplx *work,
                  const PolyKernels &kernels) const;
+
+    /**
+     * acc += inverse(work), onto the Torus32 grid: the IFFT, scale,
+     * untwist, round and mod-2^32 add in one kernel call, with no
+     * intermediate polynomial. @p acc holds N coefficients, @p work
+     * N/2 frequency points and is clobbered. The CMux inverse-adds
+     * every product column straight into its accumulator through
+     * this.
+     */
+    void inverseAdd(Torus32 *acc, Cplx *work,
+                    const PolyKernels &kernels) const;
 
     /**
      * Forward transform of @p batch contiguous length-N coefficient
@@ -97,10 +111,13 @@ class NegacyclicFft
     void forwardBatch(Cplx *out, const int32_t *coeffs, size_t batch) const;
 
     /**
-     * out_k += a_k * b_k (frequency-domain multiply-accumulate).
-     * An empty @p out is auto-sized (zero-initialized); a non-empty
-     * accumulator of the wrong size panics instead of being silently
-     * reinitialized, so shape bugs in callers surface immediately.
+     * out_k += a_k * b_k (frequency-domain multiply-accumulate): the
+     * product is one vmaBlocked call (rows = cols = 1, so the VMA's
+     * summation order), added elementwise -- which no layout can
+     * change. An empty @p out is auto-sized (zero-initialized); a
+     * non-empty accumulator of the wrong size panics instead of being
+     * silently reinitialized, so shape bugs in callers surface
+     * immediately.
      */
     static void mulAccumulate(FreqPolynomial &out, const FreqPolynomial &a,
                               const FreqPolynomial &b);
@@ -141,8 +158,7 @@ class NegacyclicFft
                      size_t size, const PolyKernels &kernels) const;
 
     size_t n_;
-    const FftPlan &plan_;     //!< N/2-point complex FFT
-    std::vector<Cplx> twist_; //!< exp(i*pi*j/N), j in [0, N/2)
+    const FftPlan &plan_; //!< N/2-point complex FFT and the twist
 };
 
 /** result = a * b mod (X^N+1) via the folded FFT. */

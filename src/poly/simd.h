@@ -2,15 +2,17 @@
  * @file
  * Runtime-dispatched kernel tables for the hot transform loops.
  *
- * Every cycle of a software PBS+KS is spent in five loops: the FFT
- * butterfly stages, the fold+twist feeding the negacyclic transform,
- * the untwist+round leaving it, the frequency-domain
- * multiply-accumulate of the external product (vmaBlocked, one call
- * per GGSW per chunk of ciphertexts), and the keyswitch's integer row
- * update (subScaledRow, one call per KSK row per chunk). This header exposes
- * those loops as a table of C function pointers so that one CPUID
- * check at startup -- not an #ifdef at build time -- decides whether
- * the AVX2+FMA implementations or the portable scalar reference runs.
+ * Every cycle of a software PBS+KS is spent in four loops: the
+ * negacyclic forward transform of each digit row (fold, twist and
+ * FFT in one kernel), the inverse transform of each product column
+ * straight into its accumulator (IFFT, scale, untwist, round and add
+ * in one kernel), the frequency-domain multiply-accumulate of the
+ * external product (vmaBlocked, one call per GGSW per chunk of
+ * ciphertexts), and the keyswitch's integer row update (subScaledRow,
+ * one call per KSK row per chunk). This header exposes those loops as
+ * a table of C function pointers so that one CPUID check at startup
+ * -- not an #ifdef at build time -- decides whether the AVX2+FMA
+ * implementations or the portable scalar reference runs.
  *
  * Dispatch contract:
  *  - scalarKernels() is always available and is the semantic
@@ -26,13 +28,20 @@
  *    to anything but "0"/"" before first use forces the scalar table,
  *    which is how the benchmarks A/B the two paths in one binary.
  *
- *
- * Frequency order: the forward transform leaves its output in
- * bit-reversed order and the inverse consumes that order, so no
- * permutation pass runs on the PBS path. Every backend must produce
- * the same order; only pointwise code (mulAccumulate, vmaBlocked) and
- * the inverse ever read a spectrum, and serialization converts to
- * natural order at the wire (tfhe/serialize.cpp).
+ * Spectral layout (the one frequency-domain layout in the library):
+ * an m-point spectrum is m points in the FFT's bit-reversed order --
+ * the forward transform leaves its output there and the inverse
+ * consumes it, so no permutation pass runs on the PBS path -- stored
+ * as split blocks of B = min(4, m) points: B real parts, then the B
+ * imaginary parts of the same points. Point p of the internal order
+ * therefore sits at double offset 2*B*(p/B) + p%B (real) and B more
+ * (imaginary) of the buffer, which callers still hold as m Cplx
+ * slots. Every backend uses this layout for its transforms' in-place
+ * intermediates too, so a complex multiply is four FMA-unit
+ * operations on whole registers and no shuffle. Only the kernels read
+ * a spectrum point by point; everything else either treats it as
+ * opaque doubles (copies, elementwise sums, the wire's byte staging)
+ * or goes through FftPlan::reSlot()/imSlot().
  *
  * Adding a backend (NEON, AVX-512) means adding one translation unit
  * defining another PolyKernels table plus a probe in simd.cpp --
@@ -53,7 +62,11 @@ namespace strix {
 
 /**
  * Borrowed view of one FftPlan's precomputed tables, laid out for
- * vector-friendly access.
+ * vector-friendly access. Every table is a sequence of split blocks
+ * of 4 points -- 4 real parts, then 4 imaginary parts -- zero-padded
+ * to a whole block when it has fewer than 4 points, so entry j of a
+ * table sits at double offset 8*(j/4) + j%4 (real) and 4 more
+ * (imaginary).
  */
 struct FftTables
 {
@@ -61,19 +74,23 @@ struct FftTables
     /**
      * Pass-major radix-4 twiddles. The forward transform runs its
      * radix-4 passes over block lengths L = m, m/4, ... down to 8 or
-     * 4; pass L (q = L/4) owns 3q contiguous entries: w^j, then
-     * w^{2j}, then w^{3j} for j in [0, q), w = exp(+2*pi*i/L). The
-     * inverse walks the same passes in reverse order from the end of
-     * the table. Contiguous per-pass streams are what let the vector
-     * butterflies load twiddles with plain unaligned loads instead of
-     * gathers.
+     * 4; pass L (q = L/4) owns three blocked tables of q entries:
+     * w^j, then w^{2j}, then w^{3j} for j in [0, q),
+     * w = exp(+2*pi*i/L), each 2*max(q, 4) doubles long. The inverse
+     * walks the same passes in reverse order from the end of the
+     * table. Contiguous per-pass streams are what let the vector
+     * butterflies load twiddles with plain loads instead of gathers.
      */
-    const Cplx *twiddles;
+    const double *twiddles;
+    /** Doubles in @ref twiddles (0 for m = 2: no radix-4 pass). */
+    size_t twiddle_doubles;
     /**
-     * Entries in @ref twiddles: m - 1 when log2(m) is even, m - 2 when
-     * it is odd (m = 2 has no radix-4 pass and no entries).
+     * The negacyclic twist exp(i*pi*j/(2m)) for j in [0, m), blocked
+     * like the twiddles: the fold of a length-2m real polynomial is
+     * multiplied by it entering the transform, and by its conjugate
+     * leaving it.
      */
-    size_t twiddle_count;
+    const double *twist;
     /**
      * log2(m) is odd: the forward transform ends, and the inverse
      * starts, with a radix-2 pass over adjacent pairs.
@@ -90,35 +107,28 @@ struct PolyKernels
     const char *name; //!< "scalar", "avx2", ... (stable, test-visible)
 
     /**
-     * In-place forward FFT (positive exponent), decimation in
-     * frequency: radix-4 passes plus a radix-2 tail when log2(m) is
-     * odd. Input is in natural order; output is in bit-reversed
-     * order, X_k at index bit_reverse[k] (FftPlan::bitReverse()). No
-     * permutation pass runs.
+     * Negacyclic forward transform of one length-2m real polynomial:
+     * @p coeffs holds 2m signed (centered-lift) coefficients, @p out
+     * receives m spectrum points in the split layout (file comment).
+     * Folds u_j = coeffs[j] + i*coeffs[j+m], twists by
+     * exp(i*pi*j/(2m)), then runs the forward FFT (positive exponent,
+     * decimation in frequency: radix-4 passes plus a radix-2 tail
+     * when log2(m) is odd), so X_t = sum_j u_j*twist_j*exp(2*pi*i*jt/m)
+     * lands at internal position bit_reverse(t). The vector backend
+     * reads the integers inside its first radix-4 pass.
      */
-    void (*fftForward)(const FftTables &t, Cplx *data);
+    void (*negacyclicForward)(const FftTables &t, Cplx *out,
+                              const int32_t *coeffs);
 
     /**
-     * In-place inverse FFT (negative exponent), scaled by 1/m,
-     * decimation in time: the exact mirror of fftForward. Input is
-     * in bit-reversed order (fftForward's output order); output is
-     * in natural order.
-     */
-    void (*fftInverse)(const FftTables &t, Cplx *data);
-
-    /**
-     * Fold+twist entering the negacyclic transform:
-     * out[j] = (lo[j] + i*hi[j]) * tw[j] for j in [0, m). lo/hi are
-     * the low/high halves of the length-2m coefficient array (signed
-     * centered lift for torus inputs).
-     */
-    void (*twist)(Cplx *out, const int32_t *lo, const int32_t *hi,
-                  const Cplx *tw, size_t m);
-
-    /**
-     * Untwist+round leaving the negacyclic transform: for
-     * u = freq[j] * conj(tw[j]), store round(u.re) mod 2^32 into
-     * lo[j] and round(u.im) mod 2^32 into hi[j].
+     * Negacyclic inverse transform added onto an accumulator: runs
+     * the inverse FFT of @p spectrum (decimation in time, the exact
+     * mirror of the forward), scales by 1/m (an exact power-of-two
+     * multiply), untwists, u_j = x_j * conj(twist_j), and adds
+     * round(u_j.re) mod 2^32 to acc[j] and round(u_j.im) mod 2^32 to
+     * acc[j+m]. @p spectrum is clobbered (it carries the transform's
+     * intermediate values); the vector backend does the scale,
+     * untwist, round and add inside its last radix-4 pass.
      *
      * Contract: |u| < 2^51 for every element. That is the validity
      * bound of the vector backends' magic-number rounding, and every
@@ -127,12 +137,8 @@ struct PolyKernels
      * on exact-.5 ties (round-half-even vs half-away), a one-ulp
      * slack the tests allow.
      */
-    void (*untwist)(uint32_t *lo, uint32_t *hi, const Cplx *freq,
-                    const Cplx *tw, size_t m);
-
-    /** out[i] += a[i] * b[i] for i in [0, m). */
-    void (*mulAccumulate)(Cplx *out, const Cplx *a, const Cplx *b,
-                          size_t m);
+    void (*negacyclicInverseAdd)(const FftTables &t, uint32_t *acc,
+                                 Cplx *spectrum);
 
     /**
      * Blocked vector multiply-accumulate (the VMA unit) of one GGSW
@@ -143,20 +149,21 @@ struct PolyKernels
      *       sum_{r < rows} digits[(b*rows + r)*stride + i] * key[r*cols + c][i]
      *
      * for every ciphertext b < count, column c < cols and point
-     * i < m (a power of two >= 2). @p digits holds each ciphertext's
-     * rows = (k+1)*l digit spectra, @p out its cols = k+1 product
-     * columns, consecutive spectra @p stride >= m points apart (the
-     * caller pads so that they do not alias in L1 sets); @p key
-     * points at the GGSW's rows*cols frequency rows. @p out is
-     * overwritten, not accumulated. Each key element is loaded, and
-     * shuffled, once per call rather than once per ciphertext, and
-     * each output is written once.
+     * i < m (a power of two >= 2), all in the split layout. @p digits
+     * holds each ciphertext's rows = (k+1)*l digit spectra, @p out its
+     * cols = k+1 product columns, consecutive spectra @p stride >= m
+     * points apart (a multiple of min(4, m), so every spectrum starts
+     * on a block; the caller pads so that they do not alias in L1
+     * sets); @p key points at the GGSW's rows*cols frequency rows.
+     * @p out is overwritten, not accumulated. Each key block is
+     * loaded once per ciphertext from L1, and each output is written
+     * once.
      *
      * Summation order (the bit-exactness contract): with a the digit
      * point and w the key point, every output element is
      *   p = sum_r fma(a, w.re)            p = (a.re*w.re, a.im*w.re)
      *   s = sum_r fma(swap(a), w.im)      s = (a.im*w.im, a.re*w.im)
-     *   out = (p.re - s.re, p.im + s.im)  (one addsub)
+     *   out = (p.re - s.re, p.im + s.im)
      * with both sums running r = 0, 1, ... from +0.0 through fused
      * multiply-adds. Every backend follows it exactly, so backends
      * agree bit for bit (no ulp slack), and an output depends only on

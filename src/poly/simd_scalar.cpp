@@ -9,7 +9,11 @@
  * The inverse is decimation in time and runs the same passes mirrored,
  * so it takes bit-reversed input back to natural order. One radix-4
  * pass equals two radix-2 stages with 3 instead of 4 twiddle
- * multiplies per 4 points and half the sweeps over the data.
+ * multiplies per 4 points and half the sweeps over the data. The
+ * negacyclic edges (fold+twist, scale+untwist+round+add) run as
+ * separate loops here; only the vector backend fuses them into its
+ * first and last passes. Every loop addresses points through the
+ * split layout (simd.h).
  */
 
 #include <cmath>
@@ -49,113 +53,146 @@ mulMinusI(Cplx a)
     return {a.imag(), -a.real()};
 }
 
+/**
+ * A spectrum (or transform intermediate) in the split layout, as m
+ * points by position: position p is stored at 2*B*(p/B) + p%B (real)
+ * and B more (imaginary), B = min(4, m) a power of two.
+ */
+class Split
+{
+  public:
+    Split(double *d, size_t m) : d_(d), b_(m < 4 ? m : 4) {}
+
+    Cplx get(size_t p) const
+    {
+        const size_t s = slot(p);
+        return {d_[s], d_[s + b_]};
+    }
+
+    void set(size_t p, Cplx v) const
+    {
+        const size_t s = slot(p);
+        d_[s] = v.real();
+        d_[s + b_] = v.imag();
+    }
+
+  private:
+    size_t slot(size_t p) const { return 2 * (p & ~(b_ - 1)) + (p & (b_ - 1)); }
+
+    double *d_;
+    size_t b_;
+};
+
+/** Entry j of a blocked table (simd.h FftTables). */
+inline Cplx
+tableAt(const double *table, size_t j)
+{
+    const double *block = table + 8 * (j / 4);
+    return {block[j % 4], block[4 + j % 4]};
+}
+
+/** Doubles one blocked twiddle stream of q entries spans. */
+inline size_t
+streamDoubles(size_t q)
+{
+    return 8 * ((q + 3) / 4);
+}
+
 /** Radix-2 butterfly over adjacent pairs (twiddle 1). */
 void
-radix2Pairs(Cplx *data, size_t m)
+radix2Pairs(const Split &x, size_t m)
 {
     for (size_t i = 0; i < m; i += 2) {
-        const Cplx u = data[i], v = data[i + 1];
-        data[i] = u + v;
-        data[i + 1] = u - v;
+        const Cplx u = x.get(i), v = x.get(i + 1);
+        x.set(i, u + v);
+        x.set(i + 1, u - v);
     }
 }
 
 void
-fftForwardScalar(const FftTables &t, Cplx *data)
+negacyclicForwardScalar(const FftTables &t, Cplx *out, const int32_t *coeffs)
 {
-    const Cplx *tw = t.twiddles;
-    size_t len = t.m;
+    const size_t m = t.m;
+    const Split x(reinterpret_cast<double *>(out), m);
+    // Fold u_j = lo_j + i*hi_j, twist by exp(i*pi*j/(2m)).
+    for (size_t j = 0; j < m; ++j) {
+        const Cplx u(static_cast<double>(coeffs[j]),
+                     static_cast<double>(coeffs[j + m]));
+        x.set(j, mul(u, tableAt(t.twist, j)));
+    }
+    const double *tw = t.twiddles;
+    size_t len = m;
     for (; len >= 4; len >>= 2) {
-        const size_t q = len >> 2;
-        const Cplx *w1 = tw, *w2 = tw + q, *w3 = tw + 2 * q;
-        for (size_t base = 0; base < t.m; base += len) {
-            Cplx *x = data + base;
+        const size_t q = len >> 2, sd = streamDoubles(q);
+        const double *w1 = tw, *w2 = tw + sd, *w3 = tw + 2 * sd;
+        for (size_t base = 0; base < m; base += len) {
             for (size_t j = 0; j < q; ++j) {
-                const Cplx a0 = x[j], a1 = x[j + q];
-                const Cplx a2 = x[j + 2 * q], a3 = x[j + 3 * q];
+                const size_t p = base + j;
+                const Cplx a0 = x.get(p), a1 = x.get(p + q);
+                const Cplx a2 = x.get(p + 2 * q), a3 = x.get(p + 3 * q);
                 const Cplx t0 = a0 + a2, t1 = a0 - a2;
                 const Cplx t2 = a1 + a3, t3 = mulI(a1 - a3);
-                x[j] = t0 + t2;
-                x[j + q] = mul(t0 - t2, w2[j]);
-                x[j + 2 * q] = mul(t1 + t3, w1[j]);
-                x[j + 3 * q] = mul(t1 - t3, w3[j]);
+                x.set(p, t0 + t2);
+                x.set(p + q, mul(t0 - t2, tableAt(w2, j)));
+                x.set(p + 2 * q, mul(t1 + t3, tableAt(w1, j)));
+                x.set(p + 3 * q, mul(t1 - t3, tableAt(w3, j)));
             }
         }
-        tw += 3 * q;
+        tw += 3 * sd;
     }
     if (len == 2)
-        radix2Pairs(data, t.m);
+        radix2Pairs(x, m);
 }
 
 void
-fftInverseScalar(const FftTables &t, Cplx *data)
+negacyclicInverseAddScalar(const FftTables &t, uint32_t *acc, Cplx *spectrum)
 {
+    const size_t m = t.m;
+    const Split x(reinterpret_cast<double *>(spectrum), m);
     size_t len = 4;
     if (t.radix2_tail) {
-        radix2Pairs(data, t.m);
+        radix2Pairs(x, m);
         len = 8;
     }
     // Passes run smallest block first: walk the forward transform's
     // largest-first table backwards from its end.
-    const Cplx *tw = t.twiddles + t.twiddle_count;
-    for (; len <= t.m; len <<= 2) {
-        const size_t q = len >> 2;
-        tw -= 3 * q;
-        const Cplx *w1 = tw, *w2 = tw + q, *w3 = tw + 2 * q;
-        for (size_t base = 0; base < t.m; base += len) {
-            Cplx *x = data + base;
+    const double *tw = t.twiddles + t.twiddle_doubles;
+    for (; len <= m; len <<= 2) {
+        const size_t q = len >> 2, sd = streamDoubles(q);
+        tw -= 3 * sd;
+        const double *w1 = tw, *w2 = tw + sd, *w3 = tw + 2 * sd;
+        for (size_t base = 0; base < m; base += len) {
             for (size_t j = 0; j < q; ++j) {
-                const Cplx y0 = x[j];
-                const Cplx y1 = mulConj(x[j + q], w2[j]);
-                const Cplx y2 = mulConj(x[j + 2 * q], w1[j]);
-                const Cplx y3 = mulConj(x[j + 3 * q], w3[j]);
+                const size_t p = base + j;
+                const Cplx y0 = x.get(p);
+                const Cplx y1 = mulConj(x.get(p + q), tableAt(w2, j));
+                const Cplx y2 = mulConj(x.get(p + 2 * q), tableAt(w1, j));
+                const Cplx y3 = mulConj(x.get(p + 3 * q), tableAt(w3, j));
                 const Cplx s0 = y0 + y1, d0 = y0 - y1;
                 const Cplx s1 = y2 + y3, d1 = mulMinusI(y2 - y3);
-                x[j] = s0 + s1;
-                x[j + q] = d0 + d1;
-                x[j + 2 * q] = s0 - s1;
-                x[j + 3 * q] = d0 - d1;
+                x.set(p, s0 + s1);
+                x.set(p + q, d0 + d1);
+                x.set(p + 2 * q, s0 - s1);
+                x.set(p + 3 * q, d0 - d1);
             }
         }
     }
-    const double inv = 1.0 / static_cast<double>(t.m);
-    for (size_t i = 0; i < t.m; ++i)
-        data[i] *= inv;
-}
-
-void
-twistScalar(Cplx *out, const int32_t *lo, const int32_t *hi,
-            const Cplx *tw, size_t m)
-{
+    // Scale by 1/m, untwist by conj(exp(i*pi*j/(2m))), round to the
+    // integer grid and add mod 2^32. The kernel contract (simd.h)
+    // bounds |u| < 2^51 -- TFHE gadget decomposition keeps real
+    // inputs below ~2^50 -- so llround never overflows int64 and the
+    // vector backends' magic-number rounding agrees with this
+    // reference.
+    const double inv = 1.0 / static_cast<double>(m);
     for (size_t j = 0; j < m; ++j) {
-        Cplx u(static_cast<double>(lo[j]), static_cast<double>(hi[j]));
-        out[j] = mul(u, tw[j]);
-    }
-}
-
-void
-untwistScalar(uint32_t *lo, uint32_t *hi, const Cplx *freq,
-              const Cplx *tw, size_t m)
-{
-    for (size_t j = 0; j < m; ++j) {
-        Cplx u = mulConj(freq[j], tw[j]);
-        // Round to the integer grid and wrap mod 2^32. The kernel
-        // contract (simd.h) bounds |u| < 2^51 -- TFHE gadget
-        // decomposition keeps real inputs below ~2^50 -- so llround
-        // never overflows int64 and the vector backends' magic-number
-        // rounding agrees with this reference.
-        lo[j] = static_cast<uint32_t>(
+        const Cplx v = x.get(j);
+        const Cplx u =
+            mulConj(Cplx(v.real() * inv, v.imag() * inv), tableAt(t.twist, j));
+        acc[j] += static_cast<uint32_t>(
             static_cast<int64_t>(std::llround(u.real())));
-        hi[j] = static_cast<uint32_t>(
+        acc[j + m] += static_cast<uint32_t>(
             static_cast<int64_t>(std::llround(u.imag())));
     }
-}
-
-void
-mulAccumulateScalar(Cplx *out, const Cplx *a, const Cplx *b, size_t m)
-{
-    for (size_t i = 0; i < m; ++i)
-        out[i] += mul(a[i], b[i]);
 }
 
 void
@@ -166,21 +203,30 @@ vmaBlockedScalar(Cplx *out, const Cplx *digits, const Cplx *const *key,
     // The contract's summation order (simd.h), written out with
     // std::fma so that the vector backend's FMA lanes reproduce it
     // exactly.
+    const double *d = reinterpret_cast<const double *>(digits);
+    double *o = reinterpret_cast<double *>(out);
+    const size_t ds = 2 * stride; // doubles between spectra
+    const size_t blk = m < 4 ? m : 4;
     for (size_t b = 0; b < count; ++b) {
-        const Cplx *dig = digits + b * rows * stride;
+        const double *dig = d + b * rows * ds;
         for (size_t c = 0; c < cols; ++c) {
-            Cplx *o = out + (b * cols + c) * stride;
+            double *oc = o + (b * cols + c) * ds;
+            // Real part of point i at re, imaginary part blk further.
             for (size_t i = 0; i < m; ++i) {
+                const size_t re = 2 * (i & ~(blk - 1)) + (i & (blk - 1));
                 double p_re = 0.0, p_im = 0.0, s_re = 0.0, s_im = 0.0;
                 for (size_t r = 0; r < rows; ++r) {
-                    const Cplx a = dig[r * stride + i];
-                    const Cplx w = key[r * cols + c][i];
-                    p_re = std::fma(a.real(), w.real(), p_re);
-                    p_im = std::fma(a.imag(), w.real(), p_im);
-                    s_re = std::fma(a.imag(), w.imag(), s_re);
-                    s_im = std::fma(a.real(), w.imag(), s_im);
+                    const double *a = dig + r * ds + re;
+                    const double *w =
+                        reinterpret_cast<const double *>(key[r * cols + c]) +
+                        re;
+                    p_re = std::fma(a[0], w[0], p_re);
+                    p_im = std::fma(a[blk], w[0], p_im);
+                    s_re = std::fma(a[blk], w[blk], s_re);
+                    s_im = std::fma(a[0], w[blk], s_im);
                 }
-                o[i] = Cplx(p_re - s_re, p_im + s_im);
+                oc[re] = p_re - s_re;
+                oc[re + blk] = p_im + s_im;
             }
         }
     }
@@ -203,9 +249,11 @@ subScaledRowScalar(uint32_t *const *outs, const int32_t *digits,
 }
 
 const PolyKernels kScalarKernels = {
-    "scalar",      fftForwardScalar, fftInverseScalar,
-    twistScalar,   untwistScalar,    mulAccumulateScalar,
-    vmaBlockedScalar, subScaledRowScalar,
+    "scalar",
+    negacyclicForwardScalar,
+    negacyclicInverseAddScalar,
+    vmaBlockedScalar,
+    subScaledRowScalar,
 };
 
 } // namespace

@@ -101,7 +101,8 @@ struct PbsScratch
      * spectra of N/2 points, each padded to a stride a little over
      * N/2 so that rows do not alias in L1. At most
      * GgswFft::chunkWidth() slots, so the buffer (with @ref columns)
-     * stays in L2.
+     * stays in L2. Both buffers are used from their first 64-byte
+     * boundary on, so every 4-point split block is one cache line.
      */
     std::vector<Cplx> spectra;
     /** The VMA output: slot j's k+1 product columns, same stride. */
@@ -110,7 +111,7 @@ struct PbsScratch
     std::vector<size_t> slots;   //!< accumulator index of each slot
     std::vector<uint32_t> powers; //!< blind rotation: one bit's a~ per ct
     GlweCiphertext diff;         //!< CMux rotate-minus-one input
-    GlweCiphertext prod;         //!< external-product output
+    GlweCiphertext prod;         //!< unrolled-PBS product / rotation
     GlweCiphertext sum;          //!< unrolled-PBS pair accumulator
     TorusPolynomial rot_tmp;     //!< unrolled-PBS rotation scratch
 };
@@ -132,7 +133,7 @@ class GgswFft
     /**
      * Rebuild from raw frequency rows (deserialization): @p rows is
      * the flat (k+1)*levels*(k+1) layout rawRows() exposes, each of
-     * big_n/2 points in the FFT's internal (bit-reversed) order.
+     * big_n/2 points in the FFT's internal spectral layout.
      * Shape-checked; panics on mismatch.
      */
     static GgswFft fromRawRows(uint32_t k, uint32_t big_n,
@@ -146,8 +147,8 @@ class GgswFft
     /**
      * Flat frequency-row storage, row-major over (row, column):
      * entry r*(k+1)+c is row(r, c), each in the FFT's internal
-     * (bit-reversed) order. Exposed for serialization, which converts
-     * to natural order on the wire; the doubles round-trip
+     * spectral layout (bit-reversed, split re/im blocks). Exposed for
+     * serialization, which converts to natural order on the wire; the doubles round-trip
      * bit-exactly, so a shipped key evaluates bit-identically to the
      * original.
      */
@@ -180,10 +181,11 @@ class GgswFft
      * and forward-transform (FFT) each one into its slot of the
      * digit-spectra buffer; then one vmaBlocked call (VMA) multiplies
      * the whole sub-batch against this GGSW, loading each key element
-     * once; then inverse-transform each product column (IFFT) and add
-     * it into its accumulator. Spectra stay in the FFT's internal
-     * bit-reversed order throughout: the bsk rows were produced by the
-     * same forward transform, and the product is pointwise.
+     * once; then inverse-transform each product column straight into
+     * its accumulator (IFFT + accumulate, one kernel call per column).
+     * Spectra stay in the FFT's internal layout throughout: the bsk
+     * rows were produced by the same forward transform, and the
+     * product is pointwise.
      *
      * Every result is bit-identical to a width-1 call on the same
      * accumulator: vmaBlocked's fixed summation order makes an output

@@ -79,23 +79,22 @@ getU64Le(const unsigned char *in)
 
 /**
  * Stage @p row into @p buf, 16 bytes per complex point, in natural
- * spectral order: wire point t is A_{2t}, which the FFT keeps at
- * internal index bit_reverse[t] (poly/negacyclic_fft.h). Writing the
+ * spectral order: wire point t is A_{2t}, which the FFT stores at
+ * FftPlan::reSlot(t)/imSlot(t) (poly/negacyclic_fft.h). Writing the
  * natural order keeps the byte format independent of how the
- * transform orders its output, so frames from older builds, whose
+ * transform lays out its output, so frames from older builds, whose
  * FFT produced natural order directly, still load.
  */
 void
 stageFreqPoly(std::vector<unsigned char> &buf, const FreqPolynomial &row)
 {
-    const std::vector<uint32_t> &rev = FftPlan::get(row.size()).bitReverse();
+    const FftPlan &plan = FftPlan::get(row.size());
+    const double *d = reinterpret_cast<const double *>(row.data());
     buf.resize(row.size() * 16);
     for (size_t t = 0; t < row.size(); ++t) {
         uint64_t re_bits, im_bits;
-        const Cplx point = row[rev[t]];
-        const double re = point.real(), im = point.imag();
-        std::memcpy(&re_bits, &re, sizeof(re_bits));
-        std::memcpy(&im_bits, &im, sizeof(im_bits));
+        std::memcpy(&re_bits, d + plan.reSlot(t), sizeof(re_bits));
+        std::memcpy(&im_bits, d + plan.imSlot(t), sizeof(im_bits));
         putU64Le(buf.data() + t * 16, re_bits);
         putU64Le(buf.data() + t * 16 + 8, im_bits);
     }
@@ -103,22 +102,20 @@ stageFreqPoly(std::vector<unsigned char> &buf, const FreqPolynomial &row)
 
 /**
  * Decode a staged freq row (half_n points, natural order) back into
- * @p row in the FFT's internal bit-reversed order; the inverse of
- * stageFreqPoly.
+ * @p row in the FFT's internal layout; the inverse of stageFreqPoly.
  */
 void
 unstageFreqPoly(FreqPolynomial &row, const std::vector<unsigned char> &buf,
                 size_t half_n)
 {
-    const std::vector<uint32_t> &rev = FftPlan::get(half_n).bitReverse();
+    const FftPlan &plan = FftPlan::get(half_n);
     row.resize(half_n);
+    double *d = reinterpret_cast<double *>(row.data());
     for (size_t t = 0; t < half_n; ++t) {
-        uint64_t re_bits = getU64Le(buf.data() + t * 16);
-        uint64_t im_bits = getU64Le(buf.data() + t * 16 + 8);
-        double re, im;
-        std::memcpy(&re, &re_bits, sizeof(re));
-        std::memcpy(&im, &im_bits, sizeof(im));
-        row[rev[t]] = Cplx(re, im);
+        const uint64_t re_bits = getU64Le(buf.data() + t * 16);
+        const uint64_t im_bits = getU64Le(buf.data() + t * 16 + 8);
+        std::memcpy(d + plan.reSlot(t), &re_bits, sizeof(re_bits));
+        std::memcpy(d + plan.imSlot(t), &im_bits, sizeof(im_bits));
     }
 }
 

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the complex FFT and the folded negacyclic FFT, plus the
- * scalar-vs-AVX2 kernel cross-checks for the runtime-dispatch seam
+ * Tests for the FFT plan (its spectral slot map and the complex DFT
+ * inside the negacyclic transform) and the folded negacyclic FFT,
+ * plus the scalar-vs-AVX2 kernel cross-checks for the runtime-dispatch seam
  * (poly/simd.h). The cross-checks sweep every plan size any shipped
  * parameter set touches (midParams N=256 ... set IV N=16384) and run
  * under both CI legs: with STRIX_SIMD=ON they compare the two
@@ -25,67 +26,104 @@
 namespace strix {
 namespace {
 
+/** Every kernel table reachable in this process, with a tag. */
+std::vector<std::pair<const char *, const PolyKernels *>>
+allKernelTables()
+{
+    std::vector<std::pair<const char *, const PolyKernels *>> tables{
+        {"scalar", &scalarKernels()}, {"active", &activeKernels()}};
+    if (const PolyKernels *avx2 = avx2Kernels())
+        tables.emplace_back("avx2", avx2);
+    return tables;
+}
+
+/** Natural spectral point @p t of @p spectrum (an m-point plan's). */
+Cplx
+pointAt(const FreqPolynomial &spectrum, size_t t)
+{
+    const FftPlan &plan = FftPlan::get(spectrum.size());
+    const double *d = reinterpret_cast<const double *>(spectrum.data());
+    return {d[plan.reSlot(t)], d[plan.imSlot(t)]};
+}
+
 TEST(ComplexFft, ForwardInverseRoundTrip)
 {
+    // The m-point FFT inside the ring-2m transform inverts exactly on
+    // integer inputs, in every backend, including m = 2, whose split
+    // blocks are 2 points wide.
     for (size_t m : {2u, 8u, 64u, 512u}) {
+        const size_t n = 2 * m;
         Rng rng(m);
-        std::vector<Cplx> data(m), orig(m);
-        for (auto &c : data)
-            c = Cplx(rng.uniformDouble() - 0.5, rng.uniformDouble() - 0.5);
-        orig = data;
-        const FftPlan &plan = FftPlan::get(m);
-        plan.forward(data.data());
-        plan.inverse(data.data());
-        for (size_t i = 0; i < m; ++i) {
-            EXPECT_NEAR(data[i].real(), orig[i].real(), 1e-12);
-            EXPECT_NEAR(data[i].imag(), orig[i].imag(), 1e-12);
+        const IntPolynomial a = test::randomSmallIntPoly(n, 1 << 20, rng);
+        TorusPolynomial p(n);
+        for (size_t i = 0; i < n; ++i)
+            p[i] = static_cast<Torus32>(a[i]);
+        const auto &eng = NegacyclicFft::get(n);
+        for (const auto &[tag, kernels] : allKernelTables()) {
+            FreqPolynomial f;
+            eng.forward(f, a, *kernels);
+            TorusPolynomial back(n);
+            eng.inverse(back, f, *kernels);
+            EXPECT_TRUE(back == p) << tag << " m=" << m;
         }
     }
 }
 
 TEST(ComplexFft, MatchesDirectDft)
 {
-    const size_t m = 16;
-    Rng rng(3);
-    std::vector<Cplx> data(m);
-    for (auto &c : data)
-        c = Cplx(rng.uniformDouble() - 0.5, rng.uniformDouble() - 0.5);
-
-    // Direct O(M^2) DFT with the same positive-exponent convention.
-    std::vector<Cplx> expected(m, Cplx(0, 0));
-    for (size_t k = 0; k < m; ++k)
-        for (size_t j = 0; j < m; ++j) {
-            double ang = 2.0 * M_PI * j * k / m;
-            expected[k] += data[j] * Cplx(std::cos(ang), std::sin(ang));
+    // Point t (read through the plan's slot map) is the m-point DFT,
+    // positive exponent, of the twisted fold u_j * exp(i*pi*j/(2m)),
+    // u_j = a_j + i*a_{j+m}: the polynomial's value at the odd root
+    // exp(i*pi*(4t+1)/(2m)).
+    for (size_t m : {2u, 4u, 8u, 16u, 64u}) {
+        const size_t n = 2 * m;
+        Rng rng(3 + m);
+        const IntPolynomial a = test::randomSmallIntPoly(n, 1000, rng);
+        for (const auto &[tag, kernels] : allKernelTables()) {
+            FreqPolynomial f;
+            NegacyclicFft::get(n).forward(f, a, *kernels);
+            for (size_t t = 0; t < m; ++t) {
+                Cplx dft(0, 0), eval(0, 0);
+                for (size_t j = 0; j < m; ++j) {
+                    const Cplx u(a[j], a[j + m]);
+                    const double tw = M_PI * double(j) / double(2 * m);
+                    const double ang = 2.0 * M_PI * double(j * t) / double(m);
+                    dft += u * Cplx(std::cos(tw), std::sin(tw)) *
+                           Cplx(std::cos(ang), std::sin(ang));
+                }
+                for (size_t j = 0; j < n; ++j) {
+                    const double ang =
+                        M_PI * double((4 * t + 1) * j) / double(n);
+                    eval += double(a[j]) * Cplx(std::cos(ang), std::sin(ang));
+                }
+                const Cplx got = pointAt(f, t);
+                EXPECT_NEAR(got.real(), dft.real(), 1e-8) << tag << " t=" << t;
+                EXPECT_NEAR(got.imag(), dft.imag(), 1e-8) << tag << " t=" << t;
+                EXPECT_NEAR(got.real(), eval.real(), 1e-8) << tag << " t=" << t;
+                EXPECT_NEAR(got.imag(), eval.imag(), 1e-8) << tag << " t=" << t;
+            }
         }
-
-    // Documented output order: X_k sits at bit_reverse[k].
-    const FftPlan &plan = FftPlan::get(m);
-    plan.forward(data.data());
-    const std::vector<uint32_t> &rev = plan.bitReverse();
-    for (size_t k = 0; k < m; ++k) {
-        EXPECT_NEAR(data[rev[k]].real(), expected[k].real(), 1e-10) << k;
-        EXPECT_NEAR(data[rev[k]].imag(), expected[k].imag(), 1e-10) << k;
     }
 }
 
 TEST(ComplexFft, LinearityOfTransform)
 {
-    const size_t m = 64;
+    const size_t n = 128;
     Rng rng(4);
-    std::vector<Cplx> a(m), b(m), sum(m);
-    for (size_t i = 0; i < m; ++i) {
-        a[i] = Cplx(rng.uniformDouble(), rng.uniformDouble());
-        b[i] = Cplx(rng.uniformDouble(), rng.uniformDouble());
+    const IntPolynomial a = test::randomSmallIntPoly(n, 1 << 20, rng);
+    const IntPolynomial b = test::randomSmallIntPoly(n, 1 << 20, rng);
+    IntPolynomial sum(n);
+    for (size_t i = 0; i < n; ++i)
         sum[i] = a[i] + b[i];
-    }
-    const FftPlan &plan = FftPlan::get(m);
-    plan.forward(a.data());
-    plan.forward(b.data());
-    plan.forward(sum.data());
-    for (size_t i = 0; i < m; ++i) {
-        EXPECT_NEAR(sum[i].real(), a[i].real() + b[i].real(), 1e-9);
-        EXPECT_NEAR(sum[i].imag(), a[i].imag() + b[i].imag(), 1e-9);
+    const auto &eng = NegacyclicFft::get(n);
+    FreqPolynomial fa, fb, fsum;
+    eng.forward(fa, a);
+    eng.forward(fb, b);
+    eng.forward(fsum, sum);
+    // Slot by slot: the layout is the same for all three spectra.
+    for (size_t i = 0; i < fsum.size(); ++i) {
+        EXPECT_NEAR(fsum[i].real(), fa[i].real() + fb[i].real(), 1e-6);
+        EXPECT_NEAR(fsum[i].imag(), fa[i].imag() + fb[i].imag(), 1e-6);
     }
 }
 
@@ -195,6 +233,57 @@ const size_t kRingDims[] = {4, 8, 16, 32, 64, 128, 256, 512, 1024,
                             2048, 4096, 8192, 16384};
 
 /**
+ * The plan's slot map is the one owner of the spectral layout: a
+ * bijection of the m natural points onto the 2m doubles (real and
+ * imaginary slots disjoint), equal to the layout simd.h documents
+ * (bit-reversed position p in split blocks of min(4, m) points), and
+ * carrying natural points out of a spectrum and back unchanged.
+ */
+class SpectralLayout : public ::testing::TestWithParam<size_t>
+{
+};
+
+TEST_P(SpectralLayout, SlotMapRoundTripsNaturalPoints)
+{
+    const size_t m = GetParam();
+    const FftPlan &plan = FftPlan::get(m);
+    const size_t blk = std::min<size_t>(4, m);
+    size_t log_m = 0;
+    while ((size_t{1} << log_m) < m)
+        ++log_m;
+    std::vector<int> hits(2 * m, 0);
+    for (size_t t = 0; t < m; ++t) {
+        size_t p = 0;
+        for (size_t b = 0; b < log_m; ++b)
+            if ((t >> b) & 1)
+                p |= size_t{1} << (log_m - 1 - b);
+        EXPECT_EQ(plan.reSlot(t), 2 * blk * (p / blk) + p % blk) << t;
+        EXPECT_EQ(plan.imSlot(t), plan.reSlot(t) + blk) << t;
+        ++hits[plan.reSlot(t)];
+        ++hits[plan.imSlot(t)];
+    }
+    for (size_t slot = 0; slot < 2 * m; ++slot)
+        EXPECT_EQ(hits[slot], 1) << "slot " << slot;
+
+    Rng rng(m + 5);
+    FreqPolynomial f;
+    NegacyclicFft::get(2 * m).forward(f, test::randomTorusPoly(2 * m, rng));
+    std::vector<Cplx> natural(m);
+    for (size_t t = 0; t < m; ++t)
+        natural[t] = pointAt(f, t);
+    FreqPolynomial back(m);
+    double *d = reinterpret_cast<double *>(back.data());
+    for (size_t t = 0; t < m; ++t) {
+        d[plan.reSlot(t)] = natural[t].real();
+        d[plan.imSlot(t)] = natural[t].imag();
+    }
+    EXPECT_EQ(std::memcmp(back.data(), f.data(), m * sizeof(Cplx)), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(PlanSizes, SpectralLayout,
+                         ::testing::ValuesIn(kPlanSizes));
+
+/**
  * FMA vs separate multiply/add changes rounding, so vector results
  * are ULP-bounded, not bit-equal: allow a small relative error
  * against the largest magnitude in the reference output.
@@ -239,11 +328,8 @@ TEST(SimdDispatch, ScalarTableIsAlwaysAvailable)
 {
     const PolyKernels &s = scalarKernels();
     EXPECT_STREQ(s.name, "scalar");
-    EXPECT_NE(s.fftForward, nullptr);
-    EXPECT_NE(s.fftInverse, nullptr);
-    EXPECT_NE(s.twist, nullptr);
-    EXPECT_NE(s.untwist, nullptr);
-    EXPECT_NE(s.mulAccumulate, nullptr);
+    EXPECT_NE(s.negacyclicForward, nullptr);
+    EXPECT_NE(s.negacyclicInverseAdd, nullptr);
     EXPECT_NE(s.vmaBlocked, nullptr);
     EXPECT_NE(s.subScaledRow, nullptr);
 }
@@ -261,34 +347,45 @@ class KernelCrossCheck : public ::testing::TestWithParam<size_t>
 
 TEST_P(KernelCrossCheck, ForwardFftMatchesScalar)
 {
+    // The fused fold + twist + FFT of a full-range ring-2m row.
     const size_t m = GetParam();
-    const FftPlan &plan = FftPlan::get(m);
+    const auto &eng = NegacyclicFft::get(2 * m);
     Rng rng(m);
+    std::vector<int32_t> coeffs(2 * m);
+    for (auto &c : coeffs)
+        c = static_cast<int32_t>(rng.uniformTorus32());
     std::vector<Cplx> ref(m), vec(m);
-    for (size_t i = 0; i < m; ++i)
-        ref[i] = Cplx(rng.uniformDouble() - 0.5, rng.uniformDouble() - 0.5);
-    vec = ref;
-    plan.forward(ref.data(), scalarKernels());
-    plan.forward(vec.data(), *avx2Kernels());
+    eng.forward(ref.data(), coeffs.data(), scalarKernels());
+    eng.forward(vec.data(), coeffs.data(), *avx2Kernels());
     expectUlpClose(vec.data(), ref.data(), m, 1e-12);
 }
 
 TEST_P(KernelCrossCheck, InverseFftMatchesScalar)
 {
-    const size_t m = GetParam();
-    const FftPlan &plan = FftPlan::get(m);
+    // The fused IFFT + scale + untwist + round, added onto a nonzero
+    // accumulator: within one grid step of the scalar reference (tie
+    // rounding and FMA), and the accumulator's old value is kept.
+    const size_t m = GetParam(), n = 2 * m;
+    const auto &eng = NegacyclicFft::get(n);
     Rng rng(m + 17);
-    std::vector<Cplx> ref(m), vec(m);
-    for (size_t i = 0; i < m; ++i)
-        ref[i] = Cplx(rng.uniformDouble() - 0.5, rng.uniformDouble() - 0.5);
-    vec = ref;
-    plan.inverse(ref.data(), scalarKernels());
-    plan.inverse(vec.data(), *avx2Kernels());
-    expectUlpClose(vec.data(), ref.data(), m, 1e-12);
+    const TorusPolynomial p = test::randomTorusPoly(n, rng);
+    const TorusPolynomial init = test::randomTorusPoly(n, rng);
+    FreqPolynomial f;
+    eng.forward(f, p, scalarKernels());
+    FreqPolynomial work_ref = f, work_vec = f;
+    TorusPolynomial ref = init, vec = init;
+    eng.inverseAdd(ref.data(), work_ref.data(), scalarKernels());
+    eng.inverseAdd(vec.data(), work_vec.data(), *avx2Kernels());
+    for (size_t i = 0; i < n; ++i) {
+        EXPECT_LE(std::abs(torusDistance(vec[i], ref[i])), 1) << i;
+        EXPECT_LE(std::abs(torusDistance(ref[i] - init[i], p[i])), 1) << i;
+    }
 }
 
 TEST_P(KernelCrossCheck, MulAccumulateMatchesScalar)
 {
+    // NegacyclicFft::mulAccumulate is one vmaBlocked call plus an
+    // elementwise add, so the backends agree bit for bit.
     const size_t m = GetParam();
     Rng rng(m + 31);
     FreqPolynomial a(m), b(m), ref(m), vec(m);
@@ -298,9 +395,9 @@ TEST_P(KernelCrossCheck, MulAccumulateMatchesScalar)
         ref[i] = vec[i] =
             Cplx(rng.uniformDouble() - 0.5, rng.uniformDouble() - 0.5);
     }
-    scalarKernels().mulAccumulate(ref.data(), a.data(), b.data(), m);
-    avx2Kernels()->mulAccumulate(vec.data(), a.data(), b.data(), m);
-    expectUlpClose(vec.data(), ref.data(), m, 1e-13);
+    NegacyclicFft::mulAccumulate(ref, a, b, scalarKernels());
+    NegacyclicFft::mulAccumulate(vec, a, b, *avx2Kernels());
+    EXPECT_EQ(std::memcmp(ref.data(), vec.data(), m * sizeof(Cplx)), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(PlanSizes, KernelCrossCheck,
@@ -417,17 +514,6 @@ INSTANTIATE_TEST_SUITE_P(RingDims, NegacyclicKernelCrossCheck,
 
 /** Batch sizes covering 1, odd, and the PBS digit counts. */
 const size_t kBatchSizes[] = {1, 2, 3, 4, 6, 8};
-
-/** Every kernel table reachable in this process, with a tag. */
-std::vector<std::pair<const char *, const PolyKernels *>>
-allKernelTables()
-{
-    std::vector<std::pair<const char *, const PolyKernels *>> tables{
-        {"scalar", &scalarKernels()}, {"active", &activeKernels()}};
-    if (const PolyKernels *avx2 = avx2Kernels())
-        tables.emplace_back("avx2", avx2);
-    return tables;
-}
 
 /**
  * Parameterized by complex-plan size m: the batch goes through the
@@ -588,7 +674,7 @@ const VmaShape kVmaShapes[] = {{1, 2}, {1, 3}, {2, 3}, {3, 5}};
 struct VmaCase
 {
     VmaCase(size_t m_, VmaShape sh, size_t count_, uint64_t seed)
-        : m(m_), stride(m_ + 3), rows((sh.k + 1) * sh.l), cols(sh.k + 1),
+        : m(m_), stride(m_ + 4), rows((sh.k + 1) * sh.l), cols(sh.k + 1),
           count(count_), digits(count_ * rows * stride),
           key(rows * cols, FreqPolynomial(m_))
     {
@@ -691,24 +777,31 @@ TEST_P(VmaBlockedExactness, OutputIndependentOfChunk)
 
 TEST(VmaBlocked, ScalarFollowsTheContractSummationOrder)
 {
-    // The scalar oracle written out by hand for one point: two FMA
+    // The scalar oracle written out by hand for every point: two FMA
     // chains from +0.0 over the rows, then one subtract and one add.
-    const VmaCase c(4, {1, 2}, 1, 99);
-    const std::vector<Cplx> out = c.run(scalarKernels());
-    for (size_t col = 0; col < c.cols; ++col) {
-        for (size_t i = 0; i < c.m; ++i) {
-            double p_re = 0.0, p_im = 0.0, s_re = 0.0, s_im = 0.0;
-            for (size_t r = 0; r < c.rows; ++r) {
-                const Cplx a = c.digits[r * c.stride + i];
-                const Cplx w = c.key[r * c.cols + col][i];
-                p_re = std::fma(a.real(), w.real(), p_re);
-                p_im = std::fma(a.imag(), w.real(), p_im);
-                s_re = std::fma(a.imag(), w.imag(), s_re);
-                s_im = std::fma(a.real(), w.imag(), s_im);
+    for (size_t m : {size_t{2}, size_t{8}}) {
+        const VmaCase c(m, {1, 2}, 1, 99);
+        const std::vector<Cplx> out = c.run(scalarKernels());
+        const auto spectrum = [&](const std::vector<Cplx> &v, size_t at) {
+            return FreqPolynomial(v.begin() + at, v.begin() + at + c.m);
+        };
+        for (size_t col = 0; col < c.cols; ++col) {
+            for (size_t t = 0; t < c.m; ++t) {
+                double p_re = 0.0, p_im = 0.0, s_re = 0.0, s_im = 0.0;
+                for (size_t r = 0; r < c.rows; ++r) {
+                    const Cplx a =
+                        pointAt(spectrum(c.digits, r * c.stride), t);
+                    const Cplx w = pointAt(c.key[r * c.cols + col], t);
+                    p_re = std::fma(a.real(), w.real(), p_re);
+                    p_im = std::fma(a.imag(), w.real(), p_im);
+                    s_re = std::fma(a.imag(), w.imag(), s_re);
+                    s_im = std::fma(a.real(), w.imag(), s_im);
+                }
+                EXPECT_TRUE(
+                    sameBits(pointAt(spectrum(out, col * c.stride), t),
+                             Cplx(p_re - s_re, p_im + s_im)))
+                    << "m " << m << " col " << col << " t " << t;
             }
-            EXPECT_TRUE(sameBits(out[col * c.stride + i],
-                                 Cplx(p_re - s_re, p_im + s_im)))
-                << "col " << col << " i " << i;
         }
     }
 }
