@@ -110,7 +110,8 @@ template <int Mask>
 inline V
 blend(V a, V b)
 {
-    return {_mm256_blend_pd(a.re, b.re, Mask), _mm256_blend_pd(a.im, b.im, Mask)};
+    return {_mm256_blend_pd(a.re, b.re, Mask),
+            _mm256_blend_pd(a.im, b.im, Mask)};
 }
 
 /** [x0 x1 | x2 x3] -> [x0 + x2, x1 + x3 | x0 - x2, x1 - x3]. */
@@ -281,11 +282,11 @@ ditLeaf8(double *d, const LeafTwiddles &w, size_t m)
 {
     for (size_t p = 0; p < 2 * m; p += 16) {
         V r0 = pairsButterfly(load(d + p));
-        r0 = blend<0xC>(r0, mulConj(r0, w.lo));             // [y0 | y1]
-        const V r1 = mulConj(pairsButterfly(load(d + p + 8)), w.hi); // [y2 | y3]
-        const V s0 = halvesButterfly(r0);                   // [s0 | d0]
-        V s1 = halvesButterfly(r1);                         // [s1 | y2 - y3]
-        s1 = blend<0xC>(s1, mulMinusI(s1));                 // [s1 | d1]
+        r0 = blend<0xC>(r0, mulConj(r0, w.lo)); // [y0 | y1]
+        const V r1 = mulConj(pairsButterfly(load(d + p + 8)), w.hi);
+        const V s0 = halvesButterfly(r0);   // [s0 | d0]
+        V s1 = halvesButterfly(r1);         // [s1 | y2 - y3]
+        s1 = blend<0xC>(s1, mulMinusI(s1)); // [s1 | d1]
         store(d + p, add(s0, s1));
         store(d + p + 8, sub(s0, s1));
     }
@@ -350,14 +351,14 @@ untwistAdd(uint32_t *acc, V x, __m256d inv, const double *twist, size_t j,
                         load(twist + 2 * j));
     const __m256i re = _mm256_castpd_si256(_mm256_add_pd(u.re, magic));
     const __m256i im = _mm256_castpd_si256(_mm256_add_pd(u.im, magic));
+    const __m128i re_lo =
+        _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(re, pick));
+    const __m128i im_lo =
+        _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(im, pick));
     __m128i *lo = reinterpret_cast<__m128i *>(acc + j);
     __m128i *hi = reinterpret_cast<__m128i *>(acc + m + j);
-    _mm_storeu_si128(lo, _mm_add_epi32(_mm_loadu_si128(lo),
-                                       _mm256_castsi256_si128(
-                                           _mm256_permutevar8x32_epi32(re, pick))));
-    _mm_storeu_si128(hi, _mm_add_epi32(_mm_loadu_si128(hi),
-                                       _mm256_castsi256_si128(
-                                           _mm256_permutevar8x32_epi32(im, pick))));
+    _mm_storeu_si128(lo, _mm_add_epi32(_mm_loadu_si128(lo), re_lo));
+    _mm_storeu_si128(hi, _mm_add_epi32(_mm_loadu_si128(hi), im_lo));
 }
 
 /**

@@ -77,7 +77,10 @@ class Split
     }
 
   private:
-    size_t slot(size_t p) const { return 2 * (p & ~(b_ - 1)) + (p & (b_ - 1)); }
+    size_t slot(size_t p) const
+    {
+        return 2 * (p & ~(b_ - 1)) + (p & (b_ - 1));
+    }
 
     double *d_;
     size_t b_;
@@ -109,11 +112,94 @@ radix2Pairs(const Split &x, size_t m)
     }
 }
 
+/** The DIF radix-4 butterfly on a_0..a_3, in place. */
+inline void
+difButterfly(Cplx &a0, Cplx &a1, Cplx &a2, Cplx &a3, Cplx w1, Cplx w2,
+             Cplx w3)
+{
+    const Cplx t0 = a0 + a2, t1 = a0 - a2;
+    const Cplx t2 = a1 + a3, t3 = mulI(a1 - a3);
+    a0 = t0 + t2;
+    a1 = mul(t0 - t2, w2);
+    a2 = mul(t1 + t3, w1);
+    a3 = mul(t1 - t3, w3);
+}
+
+/** The DIT radix-4 butterfly on a_0..a_3 (conjugate twiddles), in place. */
+inline void
+ditButterfly(Cplx &a0, Cplx &a1, Cplx &a2, Cplx &a3, Cplx w1, Cplx w2,
+             Cplx w3)
+{
+    const Cplx y0 = a0;
+    const Cplx y1 = mulConj(a1, w2);
+    const Cplx y2 = mulConj(a2, w1);
+    const Cplx y3 = mulConj(a3, w3);
+    const Cplx s0 = y0 + y1, d0 = y0 - y1;
+    const Cplx s1 = y2 + y3, d1 = mulMinusI(y2 - y3);
+    a0 = s0 + s1;
+    a1 = d0 + d1;
+    a2 = s0 - s1;
+    a3 = d0 - d1;
+}
+
+/**
+ * One radix-4 pass over block length 4q, twiddles at @p tw (three
+ * blocked streams). With q >= 4 each stream's 4 consecutive points
+ * are one split block, addressed directly, so the compiler sees
+ * plain unit-stride lane loops; the passes below q = 4 go point by
+ * point through @p x.
+ */
+template <typename Butterfly>
+void
+radix4Pass(const Split &x, double *d, const double *tw, size_t q, size_t m,
+           Butterfly butterfly)
+{
+    const size_t sd = streamDoubles(q);
+    const double *w1 = tw, *w2 = tw + sd, *w3 = tw + 2 * sd;
+    for (size_t base = 0; base < m; base += 4 * q) {
+        if (q >= 4) {
+            for (size_t j = 0; j < q; j += 4) {
+                double *x0 = d + 2 * (base + j);
+                double *x1 = x0 + 2 * q, *x2 = x0 + 4 * q, *x3 = x0 + 6 * q;
+                const double *v1 = w1 + 2 * j, *v2 = w2 + 2 * j,
+                             *v3 = w3 + 2 * j;
+                for (size_t l = 0; l < 4; ++l) {
+                    Cplx a0(x0[l], x0[l + 4]), a1(x1[l], x1[l + 4]);
+                    Cplx a2(x2[l], x2[l + 4]), a3(x3[l], x3[l + 4]);
+                    butterfly(a0, a1, a2, a3, Cplx(v1[l], v1[l + 4]),
+                              Cplx(v2[l], v2[l + 4]), Cplx(v3[l], v3[l + 4]));
+                    x0[l] = a0.real();
+                    x0[l + 4] = a0.imag();
+                    x1[l] = a1.real();
+                    x1[l + 4] = a1.imag();
+                    x2[l] = a2.real();
+                    x2[l + 4] = a2.imag();
+                    x3[l] = a3.real();
+                    x3[l + 4] = a3.imag();
+                }
+            }
+            continue;
+        }
+        for (size_t j = 0; j < q; ++j) {
+            const size_t p = base + j;
+            Cplx a0 = x.get(p), a1 = x.get(p + q);
+            Cplx a2 = x.get(p + 2 * q), a3 = x.get(p + 3 * q);
+            butterfly(a0, a1, a2, a3, tableAt(w1, j), tableAt(w2, j),
+                      tableAt(w3, j));
+            x.set(p, a0);
+            x.set(p + q, a1);
+            x.set(p + 2 * q, a2);
+            x.set(p + 3 * q, a3);
+        }
+    }
+}
+
 void
 negacyclicForwardScalar(const FftTables &t, Cplx *out, const int32_t *coeffs)
 {
     const size_t m = t.m;
-    const Split x(reinterpret_cast<double *>(out), m);
+    double *d = reinterpret_cast<double *>(out);
+    const Split x(d, m);
     // Fold u_j = lo_j + i*hi_j, twist by exp(i*pi*j/(2m)).
     for (size_t j = 0; j < m; ++j) {
         const Cplx u(static_cast<double>(coeffs[j]),
@@ -123,22 +209,8 @@ negacyclicForwardScalar(const FftTables &t, Cplx *out, const int32_t *coeffs)
     const double *tw = t.twiddles;
     size_t len = m;
     for (; len >= 4; len >>= 2) {
-        const size_t q = len >> 2, sd = streamDoubles(q);
-        const double *w1 = tw, *w2 = tw + sd, *w3 = tw + 2 * sd;
-        for (size_t base = 0; base < m; base += len) {
-            for (size_t j = 0; j < q; ++j) {
-                const size_t p = base + j;
-                const Cplx a0 = x.get(p), a1 = x.get(p + q);
-                const Cplx a2 = x.get(p + 2 * q), a3 = x.get(p + 3 * q);
-                const Cplx t0 = a0 + a2, t1 = a0 - a2;
-                const Cplx t2 = a1 + a3, t3 = mulI(a1 - a3);
-                x.set(p, t0 + t2);
-                x.set(p + q, mul(t0 - t2, tableAt(w2, j)));
-                x.set(p + 2 * q, mul(t1 + t3, tableAt(w1, j)));
-                x.set(p + 3 * q, mul(t1 - t3, tableAt(w3, j)));
-            }
-        }
-        tw += 3 * sd;
+        radix4Pass(x, d, tw, len / 4, m, difButterfly);
+        tw += 3 * streamDoubles(len / 4);
     }
     if (len == 2)
         radix2Pairs(x, m);
@@ -148,7 +220,8 @@ void
 negacyclicInverseAddScalar(const FftTables &t, uint32_t *acc, Cplx *spectrum)
 {
     const size_t m = t.m;
-    const Split x(reinterpret_cast<double *>(spectrum), m);
+    double *d = reinterpret_cast<double *>(spectrum);
+    const Split x(d, m);
     size_t len = 4;
     if (t.radix2_tail) {
         radix2Pairs(x, m);
@@ -158,24 +231,8 @@ negacyclicInverseAddScalar(const FftTables &t, uint32_t *acc, Cplx *spectrum)
     // largest-first table backwards from its end.
     const double *tw = t.twiddles + t.twiddle_doubles;
     for (; len <= m; len <<= 2) {
-        const size_t q = len >> 2, sd = streamDoubles(q);
-        tw -= 3 * sd;
-        const double *w1 = tw, *w2 = tw + sd, *w3 = tw + 2 * sd;
-        for (size_t base = 0; base < m; base += len) {
-            for (size_t j = 0; j < q; ++j) {
-                const size_t p = base + j;
-                const Cplx y0 = x.get(p);
-                const Cplx y1 = mulConj(x.get(p + q), tableAt(w2, j));
-                const Cplx y2 = mulConj(x.get(p + 2 * q), tableAt(w1, j));
-                const Cplx y3 = mulConj(x.get(p + 3 * q), tableAt(w3, j));
-                const Cplx s0 = y0 + y1, d0 = y0 - y1;
-                const Cplx s1 = y2 + y3, d1 = mulMinusI(y2 - y3);
-                x.set(p, s0 + s1);
-                x.set(p + q, d0 + d1);
-                x.set(p + 2 * q, s0 - s1);
-                x.set(p + 3 * q, d0 - d1);
-            }
-        }
+        tw -= 3 * streamDoubles(len / 4);
+        radix4Pass(x, d, tw, len / 4, m, ditButterfly);
     }
     // Scale by 1/m, untwist by conj(exp(i*pi*j/(2m))), round to the
     // integer grid and add mod 2^32. The kernel contract (simd.h)

@@ -148,9 +148,9 @@ class GgswFft
      * Flat frequency-row storage, row-major over (row, column):
      * entry r*(k+1)+c is row(r, c), each in the FFT's internal
      * spectral layout (bit-reversed, split re/im blocks). Exposed for
-     * serialization, which converts to natural order on the wire; the doubles round-trip
-     * bit-exactly, so a shipped key evaluates bit-identically to the
-     * original.
+     * serialization, which converts to natural order on the wire; the
+     * doubles round-trip bit-exactly, so a shipped key evaluates
+     * bit-identically to the original.
      */
     const std::vector<FreqPolynomial> &rawRows() const { return rows_; }
 
