@@ -36,10 +36,10 @@ using Cplx = std::complex<double>;
 struct FftTables;
 
 /**
- * Largest log2 size the process-wide plan caches accept. 2^32 points
- * is far beyond any realistic ring dimension and matches the 32-bit
- * permutation indices a plan stores; the bound also sizes the fixed
- * slot arrays backing the lock-free caches.
+ * Largest log2 size the process-wide plan caches accept: far beyond
+ * any realistic ring dimension, and the size of the fixed slot arrays
+ * backing the lock-free caches. (An FftPlan itself stops at 2^31
+ * points, where its 32-bit storage offsets end.)
  */
 inline constexpr size_t kMaxFftLog2 = 32;
 
