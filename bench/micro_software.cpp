@@ -18,12 +18,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstring>
 #include <sstream>
 #include <streambuf>
 #include <string>
 #include <vector>
 
-#include "bench_flags.h"
 #include "poly/simd.h"
 #include "tfhe/context_cache.h"
 #include "tfhe/gates.h"
@@ -542,6 +542,30 @@ registerKernelBenchmarks()
                     BM_FftForwardKernel(st, kernels, m);
                 });
         }
+}
+
+/**
+ * If argv[i] is the --json flag (either spelling) with a usable path
+ * value, capture the path into @p json_path, advance @p i past any
+ * consumed value argument, and return true. A missing/empty path or a
+ * value that is itself a flag ("--json --benchmark_filter=...") does
+ * NOT match, so it falls through to Google Benchmark, which reports
+ * it as an unrecognized argument instead of silently writing to a
+ * file named like a flag.
+ */
+bool
+matchJsonFlag(int argc, char **argv, int &i, std::string &json_path)
+{
+    if (!std::strcmp(argv[i], "--json") && i + 1 < argc &&
+        argv[i + 1][0] != '\0' && argv[i + 1][0] != '-') {
+        json_path = argv[++i];
+        return true;
+    }
+    if (!std::strncmp(argv[i], "--json=", 7) && argv[i][7] != '\0') {
+        json_path = argv[i] + 7;
+        return true;
+    }
+    return false;
 }
 
 } // namespace

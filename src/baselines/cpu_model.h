@@ -5,10 +5,11 @@
  * Analytic only: per-PBS latency anchored at the published Concrete
  * numbers (Table V) and scaled with n (blind-rotation iterations) and
  * N*log2(N) (FFT cost) for unlisted parameter sets. The measured
- * counterpart is not part of this class: bench/cpu_measured times
- * this repository's own software TFHE (single-thread PBS latency and
- * batched throughput), and bench/fig1_breakdown splits one measured
- * gate into its phases.
+ * counterpart is not part of this class: bench/micro_software times
+ * this repository's own software TFHE (BM_ProgrammableBootstrap for
+ * single-thread PBS latency, BM_BootstrapBatch/16 for batched
+ * throughput), and bench/fig1_breakdown splits one measured gate into
+ * its phases.
  *
  * Workload runs model a multi-socket Xeon with `threads` independent
  * workers, each bootstrapping one LWE at a time (no packing -- the

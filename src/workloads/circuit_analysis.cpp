@@ -249,12 +249,15 @@ CircuitAnalyzer::plan() const
     std::vector<Wire> ops;
     std::vector<std::pair<Wire, int32_t>> terms;
     std::vector<Wire> pinned; // un-elided by the relaxation loop
-    // CheapestSufficient trial machinery. A trial pins one candidate
-    // from the violation cone and lets the next loop pass *be* the
-    // simulation (same eligibility / forward-pass / budget code): an
-    // empty violation list accepts the pin, otherwise the next
-    // candidate is tried, and when no single pin suffices the greedy
-    // fallback below takes over on the recomputed base state.
+    // Cheapest-sufficient revert. A trial pins one candidate from the
+    // violation cone and lets the next loop pass *be* the simulation
+    // (same eligibility / forward-pass / budget code): an empty
+    // violation list accepts the pin, otherwise the next candidate is
+    // tried, in descending-variance order. One pin on a shared trunk
+    // fixes all its sinks where the max-variance wire may fix only
+    // one. When no single pin suffices, the greedy max-variance revert
+    // below takes over on the recomputed base state, which guarantees
+    // progress.
     std::deque<Wire> trial_cands;
     bool trialing = false;
     bool trials_exhausted = false;
@@ -436,8 +439,7 @@ CircuitAnalyzer::plan() const
                     queue.push_back(o);
                 }
         }
-        if (options_.unelide == UnelidePolicy::CheapestSufficient &&
-            !trials_exhausted) {
+        if (!trials_exhausted) {
             std::vector<Wire> cands;
             for (Wire i = 0; i < nn; ++i)
                 if (in_cone[i] && a.elided[i])

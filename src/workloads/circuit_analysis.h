@@ -83,25 +83,6 @@ enum class WireEncoding : uint8_t
     Wide4, //!< +-1/4: elided XOR/XNOR chains (decodes by sign)
 };
 
-/** How the relaxation loop picks the elided wire to revert when a
- * noise budget is violated. */
-enum class UnelidePolicy : uint8_t
-{
-    /**
-     * Cost-based: trial-pin candidates from the violation's ancestor
-     * cone and keep a single pin that provably restores *every*
-     * budget -- one PBS spent where the greedy policy may burn
-     * several (a shared trunk fixes all its sinks at once; the
-     * max-variance wire may fix only one). Candidates are tried in
-     * descending-variance order; when no single pin suffices the
-     * policy falls back to MaxVariance for guaranteed progress.
-     */
-    CheapestSufficient,
-    /** Greedy legacy policy: always the max-variance elided wire in
-     * the violation cone, re-checking after each revert. */
-    MaxVariance,
-};
-
 /** Analysis knobs. */
 struct AnalysisOptions
 {
@@ -127,9 +108,6 @@ struct AnalysisOptions
      * pbsOutput() when chaining circuits on bootstrapped outputs.
      */
     double input_variance = -1.0;
-
-    /** Budget-relaxation revert policy (see UnelidePolicy). */
-    UnelidePolicy unelide = UnelidePolicy::CheapestSufficient;
 };
 
 /**

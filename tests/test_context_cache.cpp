@@ -4,7 +4,8 @@
  * contract (N threads x one key -> exactly one keygen,
  * pointer-identical bundles), plus the split-API invariants the cache
  * rests on -- ServerContext null-keys panic and end-to-end evaluation
- * under a cached bundle. Runs under the STRIX_TSAN CI leg (label
+ * under a cached bundle -- and EvalKeyCache's insert path for
+ * externally-built bundles. Runs under the STRIX_TSAN CI leg (label
  * `unit`), which is what makes the double-checked index trustworthy.
  */
 
@@ -17,6 +18,7 @@
 
 #include "support/test_util.h"
 #include "tfhe/context_cache.h"
+#include "tfhe/eval_key_cache.h"
 #include "tfhe/serialize.h"
 #include "tfhe/server_context.h"
 
@@ -303,9 +305,12 @@ TEST(ContextCacheLru, ConcurrentChurnUnderBudgetPressure)
 }
 
 // ---------------------------------------------------------------------------
-// getOrInsert: externally-deserialized bundles (the serving daemon's
-// RegisterTenant path) adopted into the same LRU budgeting and
-// CacheStats as keygen entries.
+// EvalKeyCache::getOrInsert: externally-deserialized bundles (the
+// serving daemon's RegisterTenant path) adopted into the same LRU
+// budgeting and CacheStats as built entries. These drive EvalKeyCache
+// directly, as the daemon does; the mixed-population cases build
+// their keygen entries with a ClientKeyset builder, as ContextCache
+// does.
 
 /**
  * A bundle with no owner but the adopting cache and whoever holds the
@@ -322,9 +327,20 @@ externalBundle(uint64_t seed)
     return deserializeEvalKeys(is);
 }
 
+/** A keygen builder whose entry owns its ClientKeyset. */
+EvalKeyCache::Builder
+keygenBuilder(uint64_t seed)
+{
+    return [seed] {
+        auto keyset =
+            std::make_shared<const ClientKeyset>(fastParams(), seed);
+        return EvalKeyCache::Built{keyset->evalKeys(), keyset};
+    };
+}
+
 TEST(ContextCacheInsert, AdoptsBundleAndHitsOnRepeat)
 {
-    ContextCache cache;
+    EvalKeyCache cache;
     auto bundle = externalBundle(71);
     const uint64_t b = bundle->residentBytes();
 
@@ -336,7 +352,7 @@ TEST(ContextCacheInsert, AdoptsBundleAndHitsOnRepeat)
     EXPECT_EQ(s.misses, 0u) << "an insert is not a keygen miss";
     EXPECT_EQ(s.entries, 1u);
     EXPECT_EQ(s.resident_bytes, b);
-    EXPECT_EQ(cache.keygenCount(), 0u);
+    EXPECT_EQ(cache.buildCount(), 0u);
 
     // Idempotent re-registration: a second upload under the same key
     // returns the *resident* bundle and drops the new copy.
@@ -353,7 +369,7 @@ TEST(ContextCacheInsert, AdoptsBundleAndHitsOnRepeat)
 
 TEST(ContextCacheInsert, LookupMissesThenHitsThenServes)
 {
-    ContextCache cache;
+    EvalKeyCache cache;
     EXPECT_EQ(cache.lookup("tenant-a"), nullptr);
 
     auto bundle = externalBundle(72);
@@ -374,19 +390,21 @@ TEST(ContextCacheInsert, LookupMissesThenHitsThenServes)
 
 TEST(ContextCacheInsert, ExternalKeysAreNamespacedFromKeygen)
 {
-    ContextCache cache;
-    (void)cache.getOrCreate(fastParams(), 73);
+    EvalKeyCache cache;
+    (void)cache.getOrBuild("n=48 N=512", keygenBuilder(73));
     // A hostile (or merely unlucky) params_key cannot collide with a
-    // keygen entry, whatever string it is.
+    // built entry, even when it is the very same string.
     (void)cache.getOrInsert("n=48 N=512", externalBundle(73));
     EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.keygenCount(), 1u);
+    EXPECT_EQ(cache.buildCount(), 1u);
     EXPECT_EQ(cache.stats().inserts, 1u);
+    EXPECT_NE(cache.lookup("n=48 N=512"),
+              cache.getOrBuild("n=48 N=512", keygenBuilder(73)).bundle);
 }
 
 TEST(ContextCacheInsert, BudgetPressureEvictsIdleTenant)
 {
-    ContextCache cache;
+    EvalKeyCache cache;
     uint64_t b = 0;
     {
         auto bundle = externalBundle(74);
@@ -423,19 +441,20 @@ TEST(ContextCacheInsert, BudgetPressureEvictsIdleTenant)
 
 TEST(ContextCacheInsert, LruOrderSpansKeygenAndInsertedEntries)
 {
-    ContextCache cache;
-    const uint64_t b =
-        cache.getOrCreate(fastParams(), 76)->residentBytes();
+    EvalKeyCache cache;
+    const uint64_t b = cache.getOrBuild("keygen-76", keygenBuilder(76))
+                           .bundle->residentBytes();
     (void)cache.getOrInsert("tenant-a", externalBundle(77));
-    (void)cache.getOrCreate(fastParams(), 76); // keygen entry is MRU
+    // The keygen entry becomes MRU.
+    (void)cache.getOrBuild("keygen-76", keygenBuilder(76));
 
     cache.setBudgetBytes(b); // room for one: the idle external goes
     CacheStats s = cache.stats();
     EXPECT_EQ(s.evictions, 1u);
     EXPECT_EQ(s.entries, 1u);
     EXPECT_EQ(cache.lookup("tenant-a"), nullptr);
-    (void)cache.getOrCreate(fastParams(), 76);
-    EXPECT_EQ(cache.keygenCount(), 1u) << "keygen entry survived";
+    (void)cache.getOrBuild("keygen-76", keygenBuilder(76));
+    EXPECT_EQ(cache.buildCount(), 1u) << "keygen entry survived";
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <fstream>
@@ -317,9 +318,10 @@ TEST(SerializeFuzz, ImplausibleVectorLengthRejectedWithoutAllocating)
 }
 
 // ---------------------------------------------------------------------------
-// EvalKeys bundles: the shipped server keyset gets the same hostile-
-// input hardening as ciphertexts -- functional round-trip, randomized
-// shape sweep, truncation, header bit-flips, payload byte-flips.
+// EvalKeys bundles travel as seeded EVK2 frames. Compressed bundles must
+// round-trip to bit-identical keys, re-serialize byte-exactly, stay well
+// under the resident key size, and get the same hostile-input hardening
+// as ciphertexts: truncation, header bit-flips, payload byte-flips.
 
 /** Tiny bundle the fuzz sweeps can afford to re-serialize often. */
 const EvalKeys &
@@ -382,205 +384,34 @@ bsk2FrameOffset(const EvalKeys &keys)
     return 8 + frameBytes(keys.params()).size();
 }
 
-TEST(SerializeEvalKeys, RoundTripEvaluatesBitIdentically)
-{
-    // A server standing on the deserialized bundle must produce
-    // ciphertexts bit-identical to the original context's, here with
-    // two GLWE mask polynomials (k = 2) per row.
-    test::TestKeys keys(testParams(32, 256, 2, 3, 8, 0.0),
-                        test::kSeedSerialize);
-    std::stringstream wire;
-    serialize(wire, *keys.client.evalKeys());
-
-    std::shared_ptr<const EvalKeys> shipped = deserializeEvalKeys(wire);
-    ASSERT_NE(shipped, nullptr);
-    EXPECT_EQ(shipped->params().N, 256u);
-    ServerContext remote(shipped);
-
-    const uint64_t space = 8;
-    auto square = [](int64_t v) { return (v * v) % 8; };
-    for (int64_t m = 0; m < 4; ++m) {
-        auto ct = keys.client.encryptInt(m, space);
-        LweCiphertext here = keys.server.applyLut(ct, space, square);
-        LweCiphertext there = remote.applyLut(ct, space, square);
-        EXPECT_EQ(here.raw(), there.raw()) << "m=" << m;
-        EXPECT_EQ(keys.client.decryptInt(there, space), (m * m) % 8);
-    }
-}
-
-TEST(SerializeEvalKeys, RandomShapeRoundTripSweep)
-{
-    // Re-serializing the deserialized bundle must reproduce the frame
-    // byte-for-byte across random small key shapes.
-    Rng rng(606);
-    for (int iter = 0; iter < 4; ++iter) {
-        uint32_t n = 4 + uint32_t(rng.uniformBelow(12));
-        uint32_t big_n = 16u << rng.uniformBelow(3);
-        uint32_t k = 1 + uint32_t(rng.uniformBelow(2));
-        uint32_t l = 1 + uint32_t(rng.uniformBelow(3));
-        ClientKeyset client(testParams(n, big_n, k, l, 8, 0.0),
-                            1000 + uint64_t(iter));
-
-        const std::string bytes = frameBytes(*client.evalKeys());
-        std::stringstream ss(bytes);
-        std::shared_ptr<const EvalKeys> back = deserializeEvalKeys(ss);
-        EXPECT_EQ(frameBytes(*back), bytes)
-            << "n=" << n << " N=" << big_n << " k=" << k << " l=" << l;
-    }
-}
-
-TEST(SerializeEvalKeys, StrictPrefixSampleThrows)
-{
-    // The frame is ~100 KiB, so (unlike the small-frame sweep above)
-    // cutting at *every* byte is quadratic; sample instead: the whole
-    // header/shape region densely, then strided and random interior
-    // cuts, and the last bytes.
-    const std::string bytes = frameBytes(tinyEvalKeys());
-    ASSERT_GT(bytes.size(), 512u);
-
-    std::vector<size_t> cuts;
-    for (size_t c = 0; c < 256; ++c)
-        cuts.push_back(c);
-    for (size_t c = 256; c < bytes.size(); c += 997)
-        cuts.push_back(c);
-    Rng rng(707);
-    for (int i = 0; i < 64; ++i)
-        cuts.push_back(rng.uniformBelow(bytes.size()));
-    for (size_t back = 1; back <= 16; ++back)
-        cuts.push_back(bytes.size() - back);
-
-    for (size_t cut : cuts) {
-        std::stringstream ss(bytes.substr(0, cut));
-        EXPECT_THROW(deserializeEvalKeys(ss), std::runtime_error)
-            << "cut=" << cut;
-    }
-}
-
-TEST(SerializeEvalKeys, EveryHeaderBitFlipThrows)
-{
-    // The nested BSK2 and KSK2 frame headers: any single-bit
-    // corruption of either must be rejected outright.
-    const EvalKeys &keys = tinyEvalKeys();
-    const std::string bytes = frameBytes(keys);
-    const size_t headers[] = {bsk2FrameOffset(keys),
-                              bytes.size() - ksk2FrameBytes(keys)};
-    for (size_t off : headers) {
-        ASSERT_LE(off + 8, bytes.size());
-        for (size_t bit = 0; bit < 64; ++bit) {
-            std::string corrupted = bytes;
-            corrupted[off + bit / 8] = static_cast<char>(
-                corrupted[off + bit / 8] ^ (1 << (bit % 8)));
-            std::stringstream ss(corrupted);
-            EXPECT_THROW(deserializeEvalKeys(ss), std::runtime_error)
-                << "header at " << off << ", bit " << bit;
-        }
-    }
-}
-
-TEST(SerializeEvalKeys, RandomByteFlipsNeverCrash)
-{
-    // Flips aimed at the structure: the headers, params and BSK2
-    // shape section at the front, and the whole KSK2 frame (shape
-    // section and Torus32 bodies) at the back. Each corruption may
-    // parse or throw std::runtime_error; a crash, hang, abort, or
-    // unbounded allocation is a bug. Shape-field corruption must be
-    // caught by the plausibility caps and the params cross-checks.
-    const EvalKeys &keys = tinyEvalKeys();
-    const std::string base = frameBytes(keys);
-    // BSK2 header (8) + shape section (12 + 28).
-    const size_t head = bsk2FrameOffset(keys) + 8 + 40;
-    const size_t tail = ksk2FrameBytes(keys);
-    ASSERT_LT(head + tail, base.size());
-    Rng rng(808);
-    for (int iter = 0; iter < 300; ++iter) {
-        std::string corrupted = base;
-        size_t flips = 1 + rng.uniformBelow(4);
-        for (size_t f = 0; f < flips; ++f) {
-            size_t pos = rng.uniformBelow(head + tail);
-            if (pos >= head)
-                pos += base.size() - head - tail;
-            corrupted[pos] = static_cast<char>(
-                corrupted[pos] ^
-                static_cast<char>(1 + rng.uniformBelow(255)));
-        }
-        std::stringstream ss(corrupted);
-        try {
-            std::shared_ptr<const EvalKeys> back =
-                deserializeEvalKeys(ss);
-            // Parsed: the cross-checks must still have held.
-            ASSERT_NE(back, nullptr);
-            EXPECT_EQ(back->bsk().n(), back->params().n);
-        } catch (const std::runtime_error &) {
-            // Rejected: fine.
-        }
-    }
-}
-
-TEST(SerializeEvalKeys, MismatchedKskIsRejected)
-{
-    // Splice the KSK2 frame of a *different* keyset shape into an
-    // otherwise valid EVK2 frame: the params cross-check must refuse
-    // to assemble a bundle that would silently evaluate garbage.
-    test::TestKeys keys(testParams(16, 64, 1, 2, 8, 0.0), 11);
-    test::TestKeys other(testParams(24, 128, 1, 2, 8, 0.0), 12);
-    const EvalKeys &mine = *keys.client.evalKeys();
-    const EvalKeys &theirs = *other.client.evalKeys();
-
-    // Outer header + params + BSK2 come from `keys`, KSK2 from `other`.
-    std::string bytes = frameBytes(mine);
-    const std::string donor = frameBytes(theirs);
-    ASSERT_GT(bytes.size(), ksk2FrameBytes(mine));
-    ASSERT_GT(donor.size(), ksk2FrameBytes(theirs));
-    bytes.resize(bytes.size() - ksk2FrameBytes(mine));
-    const std::string bad_ksk =
-        donor.substr(donor.size() - ksk2FrameBytes(theirs));
-    ASSERT_EQ(bad_ksk.substr(0, 4), "2KSK") << "KSK2 tag, little-endian";
-    bytes += bad_ksk;
-
-    std::stringstream ss(bytes);
-    EXPECT_THROW(deserializeEvalKeys(ss), std::runtime_error);
-}
-
-TEST(SerializeEvalKeys, RetiredExpandedFrameIsRejected)
-{
-    // The expanded v1 generation (tag "EVK1", version 1, then params
-    // and full BSK/KSK rows) is no longer a wire format: its header
-    // alone must be refused like any unknown frame.
-    std::stringstream ss;
-    {
-        FrameWriter fw(ss, 0x45564B31u /* "EVK1" */, 1);
-    }
-    serialize(ss, tinyEvalKeys().params());
-    ss << std::string(64, '\0');
-    EXPECT_THROW(deserializeEvalKeys(ss), std::runtime_error);
-}
-
-// ---------------------------------------------------------------------------
-// Seeded (EVK2) frames: compressed bundles must round-trip to
-// bit-identical keys, re-serialize byte-exactly, stay well under the
-// resident key size, and reject hostile input.
-
 TEST(SerializeEvk2, FunctionalRoundTrip)
 {
     // A server standing on a bundle re-expanded from seeds must
-    // produce ciphertexts bit-identical to the original keyset's.
-    test::TestKeys keys(testParams(32, 256, 1, 3, 8, 0.0),
-                        test::kSeedSerialize);
-    std::stringstream wire;
-    serialize(wire, *keys.client.evalKeys());
+    // produce ciphertexts bit-identical to the original keyset's, with
+    // one and with two GLWE mask polynomials (k) per row.
+    for (uint32_t k : {1u, 2u}) {
+        SCOPED_TRACE(testing::Message() << "k=" << k);
+        test::TestKeys keys(testParams(32, 256, k, 3, 8, 0.0),
+                            test::kSeedSerialize);
+        std::stringstream wire;
+        serialize(wire, *keys.client.evalKeys());
 
-    std::shared_ptr<const EvalKeys> shipped = deserializeEvalKeys(wire);
-    ASSERT_NE(shipped, nullptr);
-    ServerContext remote(shipped);
+        std::shared_ptr<const EvalKeys> shipped =
+            deserializeEvalKeys(wire);
+        ASSERT_NE(shipped, nullptr);
+        EXPECT_EQ(shipped->params().N, 256u);
+        EXPECT_EQ(shipped->params().k, k);
+        ServerContext remote(shipped);
 
-    const uint64_t space = 8;
-    auto square = [](int64_t v) { return (v * v) % 8; };
-    for (int64_t m = 0; m < 4; ++m) {
-        auto ct = keys.client.encryptInt(m, space);
-        LweCiphertext here = keys.server.applyLut(ct, space, square);
-        LweCiphertext there = remote.applyLut(ct, space, square);
-        EXPECT_EQ(here.raw(), there.raw()) << "m=" << m;
-        EXPECT_EQ(keys.client.decryptInt(there, space), (m * m) % 8);
+        const uint64_t space = 8;
+        auto square = [](int64_t v) { return (v * v) % 8; };
+        for (int64_t m = 0; m < 4; ++m) {
+            auto ct = keys.client.encryptInt(m, space);
+            LweCiphertext here = keys.server.applyLut(ct, space, square);
+            LweCiphertext there = remote.applyLut(ct, space, square);
+            EXPECT_EQ(here.raw(), there.raw()) << "m=" << m;
+            EXPECT_EQ(keys.client.decryptInt(there, space), (m * m) % 8);
+        }
     }
 }
 
@@ -619,6 +450,8 @@ TEST(SerializeEvk2, RandomShapeRoundTripSweep)
         uint32_t big_n = 16u << rng.uniformBelow(3);
         uint32_t k = 1 + uint32_t(rng.uniformBelow(2));
         uint32_t l = 1 + uint32_t(rng.uniformBelow(3));
+        SCOPED_TRACE(testing::Message() << "n=" << n << " N=" << big_n
+                                        << " k=" << k << " l=" << l);
         ClientKeyset client(testParams(n, big_n, k, l, 8, 0.0),
                             2000 + uint64_t(iter));
 
@@ -626,10 +459,7 @@ TEST(SerializeEvk2, RandomShapeRoundTripSweep)
         std::stringstream ss(bytes);
         std::shared_ptr<const EvalKeys> back = deserializeEvalKeys(ss);
         ASSERT_NE(back, nullptr);
-        EXPECT_EQ(frameBytes(*back), bytes)
-            << "n=" << n << " N=" << big_n << " k=" << k << " l=" << l;
-        SCOPED_TRACE(testing::Message() << "n=" << n << " N=" << big_n
-                                        << " k=" << k << " l=" << l);
+        EXPECT_EQ(frameBytes(*back), bytes);
         expectSameKeyMaterial(*back, *client.evalKeys());
     }
 }
@@ -679,22 +509,28 @@ TEST(SerializeEvk2, CompressesWellUnderTheExpandedFrame)
 
 TEST(SerializeEvk2, StrictPrefixSampleThrows)
 {
-    // Same sampling strategy as the sweep above, at a finer stride:
-    // dense over the header and shape sections, strided + random over
-    // the bodies, and the final bytes.
+    // The frame is ~100 KiB, so (unlike the small-frame sweep above)
+    // cutting at *every* byte is quadratic; sample instead: the whole
+    // header/shape region densely, then two strides and random
+    // interior cuts, and the last bytes.
     const std::string bytes = frameBytes(tinyEvalKeys());
     ASSERT_GT(bytes.size(), 512u);
 
     std::vector<size_t> cuts;
     for (size_t c = 0; c < 256; ++c)
         cuts.push_back(c);
-    for (size_t c = 256; c < bytes.size(); c += 499)
-        cuts.push_back(c);
-    Rng rng(1010);
-    for (int i = 0; i < 64; ++i)
-        cuts.push_back(rng.uniformBelow(bytes.size()));
+    for (size_t stride : {size_t{499}, size_t{997}})
+        for (size_t c = 256; c < bytes.size(); c += stride)
+            cuts.push_back(c);
+    for (uint64_t seed : {uint64_t{707}, uint64_t{1010}}) {
+        Rng rng(seed);
+        for (int i = 0; i < 64; ++i)
+            cuts.push_back(rng.uniformBelow(bytes.size()));
+    }
     for (size_t back = 1; back <= 16; ++back)
         cuts.push_back(bytes.size() - back);
+    std::sort(cuts.begin(), cuts.end());
+    cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
 
     for (size_t cut : cuts) {
         std::stringstream ss(bytes.substr(0, cut));
@@ -705,17 +541,23 @@ TEST(SerializeEvk2, StrictPrefixSampleThrows)
 
 TEST(SerializeEvk2, EveryHeaderBitFlipThrows)
 {
-    // Outer EVK2 header plus the nested params header: any single-bit
-    // corruption must be rejected outright.
-    const std::string bytes = frameBytes(tinyEvalKeys());
-    ASSERT_GE(bytes.size(), 16u);
-    for (size_t bit = 0; bit < 128; ++bit) {
-        std::string corrupted = bytes;
-        corrupted[bit / 8] =
-            static_cast<char>(corrupted[bit / 8] ^ (1 << (bit % 8)));
-        std::stringstream ss(corrupted);
-        EXPECT_THROW(deserializeEvalKeys(ss), std::runtime_error)
-            << "bit " << bit;
+    // The outer EVK2 header, the nested params header, and the nested
+    // BSK2 and KSK2 frame headers: any single-bit corruption of any of
+    // them must be rejected outright.
+    const EvalKeys &keys = tinyEvalKeys();
+    const std::string bytes = frameBytes(keys);
+    const size_t headers[] = {0, 8, bsk2FrameOffset(keys),
+                              bytes.size() - ksk2FrameBytes(keys)};
+    for (size_t off : headers) {
+        ASSERT_LE(off + 8, bytes.size());
+        for (size_t bit = 0; bit < 64; ++bit) {
+            std::string corrupted = bytes;
+            corrupted[off + bit / 8] = static_cast<char>(
+                corrupted[off + bit / 8] ^ (1 << (bit % 8)));
+            std::stringstream ss(corrupted);
+            EXPECT_THROW(deserializeEvalKeys(ss), std::runtime_error)
+                << "header at " << off << ", bit " << bit;
+        }
     }
 }
 
@@ -743,16 +585,25 @@ TEST(SerializeEvk2, TamperedSectionLengthThrows)
 
 TEST(SerializeEvk2, RandomByteFlipsNeverCrash)
 {
-    // Body corruption may parse (freq-domain doubles / raw Torus32
-    // bodies: flips change values, not structure) or throw
-    // std::runtime_error; anything else is a bug.
-    const std::string base = frameBytes(tinyEvalKeys());
-    Rng rng(1111);
-    for (int iter = 0; iter < 60; ++iter) {
+    // Each corruption may parse or throw std::runtime_error; a crash,
+    // hang, abort, or unbounded allocation is a bug. Aimed flips hit
+    // the structure: the headers, params and BSK2 shape section at the
+    // front, and the whole KSK2 frame (shape section and Torus32
+    // bodies) at the back, so shape-field corruption must be caught by
+    // the plausibility caps and the params cross-checks. Uniform flips
+    // land mostly in bodies (freq-domain doubles / raw Torus32), which
+    // change values, not structure.
+    const EvalKeys &keys = tinyEvalKeys();
+    const std::string base = frameBytes(keys);
+    // BSK2 header (8) + shape section (12 + 28).
+    const size_t head = bsk2FrameOffset(keys) + 8 + 40;
+    const size_t tail = ksk2FrameBytes(keys);
+    ASSERT_LT(head + tail, base.size());
+    auto flipAndParse = [&](Rng &rng, auto &&pickPos) {
         std::string corrupted = base;
         size_t flips = 1 + rng.uniformBelow(4);
         for (size_t f = 0; f < flips; ++f) {
-            size_t pos = rng.uniformBelow(corrupted.size());
+            size_t pos = pickPos();
             corrupted[pos] = static_cast<char>(
                 corrupted[pos] ^
                 static_cast<char>(1 + rng.uniformBelow(255)));
@@ -761,12 +612,62 @@ TEST(SerializeEvk2, RandomByteFlipsNeverCrash)
         try {
             std::shared_ptr<const EvalKeys> back =
                 deserializeEvalKeys(ss);
+            // Parsed: the cross-checks must still have held.
             ASSERT_NE(back, nullptr);
             EXPECT_EQ(back->bsk().n(), back->params().n);
         } catch (const std::runtime_error &) {
             // Rejected: fine.
         }
+    };
+    Rng aimed(808);
+    for (int iter = 0; iter < 300; ++iter)
+        flipAndParse(aimed, [&] {
+            size_t pos = aimed.uniformBelow(head + tail);
+            return pos < head ? pos : pos + base.size() - head - tail;
+        });
+    Rng uniform(1111);
+    for (int iter = 0; iter < 60; ++iter)
+        flipAndParse(uniform,
+                     [&] { return uniform.uniformBelow(base.size()); });
+}
+
+TEST(SerializeEvk2, MismatchedKskIsRejected)
+{
+    // Splice the KSK2 frame of a *different* keyset shape into an
+    // otherwise valid EVK2 frame: the params cross-check must refuse
+    // to assemble a bundle that would silently evaluate garbage.
+    test::TestKeys keys(testParams(16, 64, 1, 2, 8, 0.0), 11);
+    test::TestKeys other(testParams(24, 128, 1, 2, 8, 0.0), 12);
+    const EvalKeys &mine = *keys.client.evalKeys();
+    const EvalKeys &theirs = *other.client.evalKeys();
+
+    // Outer header + params + BSK2 come from `keys`, KSK2 from `other`.
+    std::string bytes = frameBytes(mine);
+    const std::string donor = frameBytes(theirs);
+    ASSERT_GT(bytes.size(), ksk2FrameBytes(mine));
+    ASSERT_GT(donor.size(), ksk2FrameBytes(theirs));
+    bytes.resize(bytes.size() - ksk2FrameBytes(mine));
+    const std::string bad_ksk =
+        donor.substr(donor.size() - ksk2FrameBytes(theirs));
+    ASSERT_EQ(bad_ksk.substr(0, 4), "2KSK") << "KSK2 tag, little-endian";
+    bytes += bad_ksk;
+
+    std::stringstream ss(bytes);
+    EXPECT_THROW(deserializeEvalKeys(ss), std::runtime_error);
+}
+
+TEST(SerializeEvk2, RetiredExpandedFrameIsRejected)
+{
+    // The expanded v1 generation (tag "EVK1", version 1, then params
+    // and full BSK/KSK rows) is no longer a wire format: its header
+    // alone must be refused like any unknown frame.
+    std::stringstream ss;
+    {
+        FrameWriter fw(ss, 0x45564B31u /* "EVK1" */, 1);
     }
+    serialize(ss, tinyEvalKeys().params());
+    ss << std::string(64, '\0');
+    EXPECT_THROW(deserializeEvalKeys(ss), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
