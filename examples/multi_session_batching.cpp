@@ -10,8 +10,8 @@
  * session's one or two requests. The BatchExecutor closes the gap:
  * sessions submit individual requests through the async API
  * (`ServerContext::submitApplyLut`) and requests that share a key
- * bundle -- tenants resolved through the ContextCache, so identity is
- * the EvalKeys pointer -- coalesce into full sweeps. A second tenant
+ * bundle -- each tenant's sessions share one ClientKeyset, so identity
+ * is the EvalKeys pointer -- coalesce into full sweeps. A second tenant
  * runs alongside to show the isolation property: its requests land in
  * their own shard and are never mixed into the first tenant's sweeps.
  *
@@ -21,11 +21,12 @@
 
 #include <cstdio>
 #include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "tfhe/batch_executor.h"
-#include "tfhe/context_cache.h"
+#include "tfhe/client_keyset.h"
 #include "tfhe/server_context.h"
 
 using namespace strix;
@@ -39,18 +40,15 @@ constexpr uint64_t kTenantSeedA = 7001;
 constexpr uint64_t kTenantSeedB = 7002;
 
 /**
- * One serving session: fetch the tenant's cached keys, open a
- * ServerContext on the shared executor, submit a stream of LUT
- * requests, and self-check every decrypted answer. Returns the number
- * of mismatches.
+ * One serving session: open a ServerContext over the tenant's shared
+ * keys on the shared executor, submit a stream of LUT requests, and
+ * self-check every decrypted answer. Returns the number of
+ * mismatches.
  */
 int
-runSession(int session, std::shared_ptr<BatchExecutor> exec)
+runSession(int session, const std::shared_ptr<const ClientKeyset> &keyset,
+           std::shared_ptr<BatchExecutor> exec)
 {
-    const uint64_t seed = session % 2 == 0 ? kTenantSeedA : kTenantSeedB;
-    auto keyset = ContextCache::global().getOrCreateKeyset(
-        testParams(48, 512), seed);
-
     ServerContext server(keyset->evalKeys());
     server.attachExecutor(std::move(exec));
 
@@ -91,11 +89,19 @@ main()
     opts.flush_delay_us = 500; // latency bound for a trickling session
     auto exec = std::make_shared<BatchExecutor>(opts);
 
+    // One keyset per tenant; even sessions serve A, odd ones B.
+    const std::shared_ptr<const ClientKeyset> keysets[2] = {
+        std::make_shared<const ClientKeyset>(testParams(48, 512),
+                                             kTenantSeedA),
+        std::make_shared<const ClientKeyset>(testParams(48, 512),
+                                             kTenantSeedB)};
+
     std::vector<std::thread> sessions;
     std::vector<int> mismatches(kSessions, 0);
     for (int s = 0; s < kSessions; ++s)
-        sessions.emplace_back(
-            [&, s] { mismatches[size_t(s)] = runSession(s, exec); });
+        sessions.emplace_back([&, s] {
+            mismatches[size_t(s)] = runSession(s, keysets[s % 2], exec);
+        });
     for (auto &t : sessions)
         t.join();
     exec->drain();

@@ -19,6 +19,7 @@
  */
 
 #include <cstdio>
+#include <memory>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -27,7 +28,7 @@
 #include "server/server.h"
 #include "server/wire_codec.h"
 #include "tfhe/bootstrap.h"
-#include "tfhe/context_cache.h"
+#include "tfhe/client_keyset.h"
 #include "tfhe/server_context.h"
 #include "workloads/circuit.h"
 
@@ -72,17 +73,14 @@ evalKeysBytes(const EvalKeys &keys)
 }
 
 /**
- * One client thread: register, then drive the three request types.
- * Returns the number of failures (0 = clean).
+ * One client thread: register @p tenant with @p keyset's evaluation
+ * keys, then drive the three request types. Returns the number of
+ * failures (0 = clean).
  */
 int
-runClient(int id, uint16_t port)
+runClient(int id, uint16_t port, uint64_t tenant,
+          const std::shared_ptr<const ClientKeyset> &keyset)
 {
-    const uint64_t tenant = id % 2 == 0 ? 1 : 2;
-    const uint64_t seed = tenant == 1 ? kSeedA : kSeedB;
-    auto keyset =
-        ContextCache::global().getOrCreateKeyset(testParams(48, 512),
-                                                 seed);
     const TfheParams &p = keyset->evalKeys()->params();
     ServerContext local(keyset->evalKeys());
 
@@ -91,7 +89,7 @@ runClient(int id, uint16_t port)
         std::fprintf(stderr, "client %d: connect failed\n", id);
         return 1;
     }
-    // Blind re-registration: the server's getOrInsert is idempotent,
+    // Blind re-registration: the server's key insert is idempotent,
     // so each of a tenant's connections can upload without
     // coordination (only the first allocates key memory).
     StrixClient::Reply reg =
@@ -225,11 +223,18 @@ main()
         return 1;
     }
 
+    // One keyset per tenant, shared by both of its client threads.
+    const std::shared_ptr<const ClientKeyset> keysets[2] = {
+        std::make_shared<const ClientKeyset>(testParams(48, 512), kSeedA),
+        std::make_shared<const ClientKeyset>(testParams(48, 512), kSeedB)};
+
     std::vector<std::thread> threads;
     std::vector<int> failures(kThreads, 0);
     for (int t = 0; t < kThreads; ++t)
         threads.emplace_back([&, t] {
-            failures[size_t(t)] = runClient(t, server.port());
+            const uint64_t tenant = uint64_t(t % 2) + 1;
+            failures[size_t(t)] =
+                runClient(t, server.port(), tenant, keysets[t % 2]);
         });
     for (auto &t : threads)
         t.join();

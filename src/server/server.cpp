@@ -54,12 +54,6 @@ StrixServer::~StrixServer()
     stop();
 }
 
-std::string
-StrixServer::tenantKey(uint64_t tenant)
-{
-    return std::to_string(tenant);
-}
-
 bool
 StrixServer::start()
 {
@@ -165,7 +159,7 @@ StrixServer::handleRegister(ConnState &c, const WireMessage &m,
     // has served, which would otherwise make every previously-served
     // tenant unevictable and defeat the budget.
     executor_->releaseIdleShards();
-    cache_.getOrInsert(tenantKey(m.tenant), std::move(keys));
+    cache_.insert(m.tenant, std::move(keys));
     sendOk(c, m, {}, now_us);
 }
 
@@ -194,8 +188,7 @@ StrixServer::handleCompute(ConnState &c, WireMessage &&m,
                 now_us);
         return;
     }
-    std::shared_ptr<const EvalKeys> bundle =
-        cache_.lookup(tenantKey(m.tenant));
+    std::shared_ptr<const EvalKeys> bundle = cache_.lookup(m.tenant);
     if (!bundle) {
         if (tenant_inflight == 0)
             inflight_.erase(m.tenant);

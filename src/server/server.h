@@ -15,9 +15,10 @@
  * when its work completes.
  *
  * Tenants register by uploading an EVK2 EvalKeys bundle, which
- * lands in a bytes-budgeted EvalKeyCache: under key-memory pressure
- * the least-recently-used idle tenant is evicted and must re-register
- * (requests answer UnknownTenant, a structured error, never a crash).
+ * lands in the bytes-budgeted EvalKeyCache, keyed by tenant id: under
+ * key-memory pressure the least-recently-used idle tenant is evicted
+ * and must re-register (requests answer UnknownTenant, a structured
+ * error, never a crash).
  * The server never holds a strong bundle reference outside the cache,
  * the executor's shards (released when idle before each eviction
  * attempt), and in-flight work -- so eviction of idle tenants is
@@ -29,10 +30,10 @@
  * Each request may carry a relative deadline; work that completes too
  * late is answered with DeadlineExceeded instead of a stale result.
  *
- * Trust model: this layer never sees a secret key -- it includes
- * neither tfhe/client_keyset.h nor the ContextCache facade that owns
- * keysets (both lint-enforced). Everything it holds and computes on
- * is public evaluation material and ciphertexts.
+ * Trust model: this layer never sees a secret key -- it cannot
+ * include tfhe/client_keyset.h, directly or through any header
+ * (lint-enforced). Everything it holds and computes on is public
+ * evaluation material and ciphertexts.
  *
  * Threading: all connection and admission state belongs to the loop
  * thread exclusively (no locks); cross-thread surface is start/stop,
@@ -51,6 +52,7 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -213,8 +215,6 @@ class StrixServer
 
     /** Poll timeout folding sender deadlines and pending futures. */
     int pollTimeoutMs(uint64_t now_us) const;
-
-    static std::string tenantKey(uint64_t tenant);
 
     Options opts_;
     std::shared_ptr<WaitableClock> clock_;

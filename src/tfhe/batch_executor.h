@@ -9,7 +9,8 @@
  * remaining gap by coalescing *across* callers: independent sessions
  * submit single PBS requests and get futures back, and requests that
  * share a params-shard -- the same `EvalKeys` bundle by pointer
- * identity, which is what `ContextCache` hands out -- are swept
+ * identity, which is what a shared ClientKeyset and the daemon's
+ * per-tenant EvalKeyCache entry hand out -- are swept
  * together as one full-width `bootstrapBatch` call. Requests from
  * different shards never co-batch (cross-tenant isolation by
  * construction: a sweep runs under exactly one key bundle).

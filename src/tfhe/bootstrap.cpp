@@ -12,27 +12,6 @@
 namespace strix {
 
 BootstrappingKey
-BootstrappingKey::generate(const LweKey &lwe_key, const GlweKey &glwe_key,
-                           const TfheParams &params, Rng &rng)
-{
-    panicIfNot(lwe_key.dim() == params.n, "bsk: LWE key dim mismatch");
-    panicIfNot(glwe_key.k() == params.k &&
-                   glwe_key.ringDim() == params.N,
-               "bsk: GLWE key shape mismatch");
-
-    BootstrappingKey bsk;
-    bsk.params_ = params;
-    GadgetParams g{params.bg_bits, params.l_bsk};
-    bsk.ggsw_fft_.reserve(params.n);
-    for (uint32_t i = 0; i < params.n; ++i) {
-        GgswCiphertext ggsw =
-            ggswEncrypt(glwe_key, lwe_key.bit(i), g, params.glwe_noise, rng);
-        bsk.ggsw_fft_.emplace_back(ggsw);
-    }
-    return bsk;
-}
-
-BootstrappingKey
 BootstrappingKey::generateSeeded(const LweKey &lwe_key,
                                  const GlweKey &glwe_key,
                                  const TfheParams &params,

@@ -29,14 +29,10 @@ class BootstrappingKey
     const GgswFft &bit(size_t i) const { return ggsw_fft_[i]; }
     const TfheParams &params() const { return params_; }
 
-    /** Generate from the input LWE key and output GLWE key. */
-    static BootstrappingKey generate(const LweKey &lwe_key,
-                                     const GlweKey &glwe_key,
-                                     const TfheParams &params, Rng &rng);
-
     /**
-     * Seeded-mask generation (ggswEncryptSeeded per key bit): every
-     * mask polynomial comes from the deterministic stream rooted at
+     * Generate from the input LWE key and output GLWE key, with
+     * seeded masks (ggswEncryptSeeded per key bit): every mask
+     * polynomial comes from the deterministic stream rooted at
      * @p mask_seed -- GLWE row (bit i, block, level) forks stream id
      * i*(k+1)*l_bsk + block*l_bsk + level -- and only noise draws
      * from @p noise_rng. A key generated this way is fully determined

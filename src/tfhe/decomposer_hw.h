@@ -86,9 +86,9 @@ class StreamingDecomposer
 };
 
 /**
- * Decompose a polynomial through the streaming datapath; used by
- * tests to validate stream order and by the software PBS when
- * configured to use the hardware-equivalent path.
+ * Decompose a polynomial through the streaming datapath. Only the
+ * tests call it, to check its digits against gadgetDecomposePoly;
+ * the software PBS never goes through this model.
  */
 void streamingDecomposePoly(std::vector<IntPolynomial> &out,
                             const TorusPolynomial &poly,

@@ -11,26 +11,6 @@
 namespace strix {
 
 KeySwitchKey
-KeySwitchKey::generate(const LweKey &from, const LweKey &to,
-                       const TfheParams &params, Rng &rng)
-{
-    KeySwitchKey ksk;
-    ksk.in_dim_ = from.dim();
-    ksk.out_dim_ = to.dim();
-    ksk.g_ = GadgetParams{params.ks_base_bits, params.l_ksk};
-    ksk.rows_.reserve(size_t(from.dim()) * params.l_ksk);
-    for (uint32_t i = 0; i < from.dim(); ++i) {
-        for (uint32_t j = 1; j <= params.l_ksk; ++j) {
-            Torus32 msg = static_cast<uint32_t>(from.bit(i)) *
-                          ksk.g_.levelScale(j);
-            ksk.rows_.push_back(
-                lweEncrypt(to, msg, params.lwe_noise, rng));
-        }
-    }
-    return ksk;
-}
-
-KeySwitchKey
 KeySwitchKey::generateSeeded(const LweKey &from, const LweKey &to,
                              const TfheParams &params,
                              uint64_t mask_seed, Rng &noise_rng)

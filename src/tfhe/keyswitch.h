@@ -37,14 +37,9 @@ class KeySwitchKey
 
     /**
      * Generate a keyswitching key from @p from (dimension k*N,
-     * typically GlweKey::extractedLweKey()) to @p to (dimension n).
-     */
-    static KeySwitchKey generate(const LweKey &from, const LweKey &to,
-                                 const TfheParams &params, Rng &rng);
-
-    /**
-     * Seeded-mask generation (lweEncryptSeeded per row): the mask of
-     * row (i, level) comes from fork i*l_ksk + level of the stream
+     * typically GlweKey::extractedLweKey()) to @p to (dimension n),
+     * with seeded masks (lweEncryptSeeded per row): the mask of row
+     * (i, level) comes from fork i*l_ksk + level of the stream
      * rooted at @p mask_seed; only noise draws from @p noise_rng. The
      * key is fully determined by (mask_seed, bodies) -- the KSK2
      * frame ships exactly that and fromSeededBodies() reconstructs it

@@ -77,9 +77,10 @@ class StrixLintTest(unittest.TestCase):
         self.assertIn("net/ may not include tfhe/", r.stdout)
 
     def test_server_secret_violation_rejected(self):
-        # A daemon TU including the key-owning ContextCache facade:
-        # the closure walk must print the chain down to the secret
-        # header, and naming the secret type is flagged separately.
+        # A daemon TU including a key-owning facade (the fixture's
+        # own stub header): the closure walk must print the chain
+        # down to the secret header, and naming the secret type is
+        # flagged separately.
         src = os.path.join(FIXTURES, "server_secret")
         r = run_lint("--src", src,
                      "--allowlist=tfhe/context_cache.h")

@@ -73,6 +73,12 @@ TEST(Integration, EvalKeysShipAcrossTheWire)
     EXPECT_EQ(client.decryptInt(out, space), 6);
 }
 
+TEST(IntegrationDeathTest, ServerContextRejectsNullBundle)
+{
+    EXPECT_DEATH(ServerContext(nullptr),
+                 "ServerContext: null EvalKeys bundle");
+}
+
 TEST(Integration, CircuitGraphConsistentWithFunctionalCost)
 {
     // The workload graph's PBS count must equal what the encrypted
@@ -132,8 +138,8 @@ TEST(Integration, UnrolledContextFullLutChain)
     GlweKey glwe_key(params.k, params.N, rng);
     auto ubsk = UnrolledBootstrappingKey::generate(lwe_key, glwe_key,
                                                    params, rng);
-    auto ksk = KeySwitchKey::generate(glwe_key.extractedLweKey(),
-                                      lwe_key, params, rng);
+    auto ksk = KeySwitchKey::generateSeeded(
+        glwe_key.extractedLweKey(), lwe_key, params, rng.next64(), rng);
 
     const uint64_t space = 8;
     auto ct = lweEncrypt(lwe_key, encodeLut(2, space), 0.0, rng);
