@@ -154,6 +154,30 @@ TEST(EvalKeyCache, ConcurrentReRegistrationAdoptsOneBundle)
     EXPECT_EQ(s.entries, 1u);
 }
 
+/**
+ * The registration path a tenant's first request takes: lookup
+ * misses, the uploaded bundle is adopted, and what lookup then
+ * returns is that bundle and serves.
+ */
+TEST(EvalKeyCache, LookupMissesThenHitsThenServes)
+{
+    ClientKeyset keyset(fastParams(), 77);
+    EvalKeyCache cache;
+    EXPECT_EQ(cache.lookup(1), nullptr);
+
+    auto bundle = overTheWire(*keyset.evalKeys());
+    (void)cache.insert(1, bundle);
+    auto found = cache.lookup(1);
+    ASSERT_NE(found, nullptr);
+    EXPECT_EQ(found.get(), bundle.get());
+
+    ServerContext server(found);
+    auto ct = keyset.encryptInt(3, 8);
+    auto out = server.applyLut(ct, 8,
+                               [](int64_t v) { return (v * 2) % 8; });
+    EXPECT_EQ(keyset.decryptInt(out, 8), 6);
+}
+
 /** A bundle that came over the wire must actually evaluate. */
 TEST(EvalKeyCache, InsertedBundleEvaluatesEndToEnd)
 {
